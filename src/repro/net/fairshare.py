@@ -9,9 +9,10 @@ Vectorized progressive filling ("water-filling"). Each iteration either
   bottleneck share.
 
 Each iteration removes at least one link or the whole capped set, so the
-loop runs O(links) times; each iteration is dense numpy over an L×F
-incidence matrix (see the HPC guide: vectorize the hot loop, profile before
-going lower-level — this routine is the simulator's hot spot).
+loop runs O(links) times; each iteration is a fixed handful of numpy calls
+over the incidence's (column, link) entry list, so its cost is per-call
+overhead rather than matrix size (this routine is the simulator's hot
+spot).
 
 Two entry points share the solver core:
 
@@ -47,24 +48,27 @@ solving one column per member flow):
   compute the same ``counts``;
 * fair shares (``remaining / counts``), per-flow share minima, and every
   cap comparison are single operations on identical inputs;
-* the only genuine float *accumulation* is draining fixed flows from
-  ``remaining``. It is computed per link as the **exactly rounded** sum
-  of the round's fixed demand (``math.fsum``), with each class's demand
-  ``w * r`` contributed as its power-of-two decomposition
-  ``sum(r * 2^i for set bits i of w)`` — every term exact, so flow space
-  (``w`` copies of ``r``) and class space feed fsum term multisets with
-  the same exact value, and exactly rounded sums of equal reals are
-  bit-equal.
+* the only float *accumulation* is draining a round's newly fixed columns
+  from ``remaining``. Per link, :func:`_drain` groups them by distinct
+  rate ``v``, sums their integer weights exactly into ``n_v``, subtracts
+  ``fl(v * n_v)`` in ascending-``v`` order with plain IEEE arithmetic,
+  and clamps at zero once at the end. Flow space (``w`` columns of
+  weight 1 at rate ``v``) and class space (one column of weight ``w``)
+  hand every link the same ``(v, n_v)`` multiset, so both perform the
+  same float operations in the same order and get the same bits.
 
-The same argument makes the result independent of how the union-find
-happens to have coarsened components: per-link quantities only ever see
-that link's own flows, so gluing unrelated groups into one solve cannot
-move a bit.
+Per-link quantities only ever see that link's own flows, grouped and
+ordered by rate — never by column index — so permuting columns cannot
+move a bit, and gluing unrelated groups into one solve (union-find
+coarsening) changes no per-link arithmetic. Coarsening can still act
+through the bottleneck threshold, the minimum share over the whole solve:
+if one group's bottleneck share lies less than ``_REL_EPS`` (relative)
+below another's, the other group's near-tied columns may be fixed a round
+apart, which moves their rates by at most that tolerance.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -75,170 +79,138 @@ from repro.sim.profile import PROFILE
 _REL_EPS = 1e-9
 
 
-def _pow2_terms(w: int) -> Tuple[float, ...]:
-    """Power-of-two decomposition of integer ``w`` as exact float factors."""
-    out = []
-    while w:
-        low = w & -w
-        out.append(float(low))
-        w -= low
-    return tuple(out)
-
-
-def _exact_drain(
+def _drain(
     remaining: np.ndarray,
-    fixed_cols: np.ndarray,
-    rates: np.ndarray,
-    weights: np.ndarray,
+    counts: np.ndarray,
+    fixed: np.ndarray,
+    v: np.ndarray,
     flows_cat: np.ndarray,
     links_cat: np.ndarray,
+    w_cat: np.ndarray,
 ) -> None:
-    """Subtract the newly fixed columns' demand from ``remaining``.
+    """Take one round's newly fixed columns off the links, in place.
 
-    Per link the update is the exactly rounded (``math.fsum``) value of
-    ``remaining[l] - sum(w_c * r_c)`` over the round's fixed columns
-    crossing ``l``, with each ``w_c * r_c`` expanded into exact
-    power-of-two terms — see the module docstring's exactness argument.
-    Clamped at zero like the allocation loop always has.
-
-    Vectorized by weight bit: set bit ``b`` of column ``c`` contributes
-    one ``(link, r_c * 2^b)`` entry per link it crosses. A link receiving
-    a single entry is updated with plain IEEE subtraction — exactly
-    rounded by definition, so bit-equal to the fsum of the same two
-    terms (and to flow space, where ``2^b`` equal members sum exactly).
-    Only links receiving multiple entries pay for ``math.fsum``.
+    ``fixed`` masks the columns and ``v`` holds their rates in column
+    order; ``flows_cat``/``links_cat``/``w_cat`` list one entry per
+    (column, link it crosses) with the column's integer weight. Each
+    link's ``counts`` loses the fixed weight. Its ``remaining`` loses the
+    fixed demand: entries are grouped by distinct ``v`` with their weights
+    summed exactly into ``n_v``, ``fl(v * n_v)`` is subtracted in
+    ascending-``v`` order, and the result is clamped at zero once. The
+    module docstring argues why this is bit-identical across class/flow
+    space and column order.
     """
-    if not fixed_cols.size:
-        return
-    w_fixed = weights[fixed_cols].astype(np.int64)
-    maxw = int(w_fixed.max())
-    mask = np.zeros(weights.shape[0], dtype=bool)
-    links_parts: List[np.ndarray] = []
-    vals_parts: List[np.ndarray] = []
-    bit = 1
-    while bit <= maxw:
-        cols_b = fixed_cols if maxw == 1 else fixed_cols[(w_fixed & bit) != 0]
-        if cols_b.size:
-            mask[:] = False
-            mask[cols_b] = True
-            sel = mask[flows_cat]
-            links_parts.append(links_cat[sel])
-            vals_parts.append(rates[flows_cat[sel]] * float(bit))
-        bit <<= 1
-    if len(links_parts) == 1:
-        links_e, vals_e = links_parts[0], vals_parts[0]
+    sel = fixed[flows_cat]
+    links, w = links_cat[sel], w_cat[sel]
+    n = np.bincount(links, weights=w, minlength=counts.shape[0])
+    counts -= n
+    v0 = v[0]
+    if not np.count_nonzero(v != v0):
+        # One rate: ``n_v`` is ``n``, and a link the round did not touch
+        # subtracts v * 0 == 0.
+        remaining -= v0 * n
     else:
-        links_e = np.concatenate(links_parts)
-        vals_e = np.concatenate(vals_parts)
-    if not links_e.size:
-        return
-    counts = np.bincount(links_e, minlength=remaining.shape[0])
-    is_multi = counts[links_e] > 1
-    if is_multi.any():
-        order = np.argsort(links_e[is_multi], kind="stable")
-        ml = links_e[is_multi][order]
-        mv = (-vals_e[is_multi][order]).tolist()
-        seg = np.flatnonzero(np.diff(ml)) + 1
-        seg_starts = np.concatenate(([0], seg))
-        seg_ends = np.concatenate((seg, [ml.shape[0]]))
-        for link, a, b in zip(ml[seg_starts].tolist(),
-                              seg_starts.tolist(), seg_ends.tolist()):
-            acc = math.fsum([remaining[link], *mv[a:b]])
-            remaining[link] = acc if acc > 0.0 else 0.0
-        single = ~is_multi
-        if not single.any():
-            return
-        links_e, vals_e = links_e[single], vals_e[single]
-    rem = remaining[links_e] - vals_e
-    remaining[links_e] = np.where(rem > 0.0, rem, 0.0)
+        # Entries and fixed columns are both in column order.
+        v = v[np.cumsum(fixed)[flows_cat[sel]] - 1]
+        order = np.lexsort((v, links))
+        links, v, w = links[order], v[order], w[order]
+        same = (links[1:] == links[:-1]) & (v[1:] == v[:-1])
+        starts = np.flatnonzero(np.concatenate(([True], ~same)))
+        glinks = links[starts]
+        vn = v[starts] * np.add.reduceat(w, starts)
+        # A group's rank among its link's groups; rank r is every link's
+        # r-th subtraction, one vectorized step (links are unique per rank).
+        rank = np.arange(starts.shape[0]) - np.searchsorted(glinks, glinks)
+        for r in range(int(rank.max()) + 1):
+            at = rank == r
+            remaining[glinks[at]] -= vn[at]
+    np.maximum(remaining, 0.0, out=remaining)
 
 
 def _water_fill(
     M: np.ndarray,
-    Mf: np.ndarray,
     caps: np.ndarray,
     fcaps: np.ndarray,
-    rates: np.ndarray,
-    unfixed: np.ndarray,
-    weights: Optional[np.ndarray] = None,
-) -> None:
-    """Progressive filling over incidence ``M``; writes ``rates`` in place.
+    weights: np.ndarray,
+) -> np.ndarray:
+    """Progressive filling over incidence ``M``; returns per-column rates.
 
-    ``M`` is the L×F bool incidence matrix, ``Mf`` its float view (bool @
-    bool would be a logical OR, not a count). Only flows in ``unfixed``
-    participate; columns outside it must already hold their final rate 0
-    contribution (pathless flows never enter here). ``weights`` holds the
-    integer member multiplicity per column (``None`` = all ones); the
-    solved rate of a weight-``w`` column is the per-member rate.
-
-    Bit-identity note: the per-flow fair share is a *min* over the links
-    of a path and the per-link active count is a sum of integer weights —
-    both are exact in IEEE floats under any evaluation order, so the
-    sparse gather/``reduceat``/``bincount`` formulation below produces
-    the same bits as the dense formulation, and class space the same bits
-    as flow space. The ``remaining`` drain is the one genuine float
-    accumulation; it goes through :func:`_exact_drain` (exactly rounded
-    per link), which the module docstring argues is multiplicity- and
-    association-independent.
+    ``M`` is the L×F bool incidence matrix and every column crosses at
+    least one link (callers rate pathless flows at their cap). ``weights``
+    holds the integer member multiplicity per column; the solved rate of
+    a weight-``w`` column is the per-member rate.
     """
     nlinks, nflows = M.shape
     remaining = caps.copy()
-    if weights is None:
-        weights = np.ones(nflows)
-
-    # CSC view: for each flow (in column order), the link rows it crosses.
+    rates = np.zeros(nflows)
+    # One entry per (column, link it crosses), in column order.
     flows_cat, links_cat = np.nonzero(M.T)
-    per_flow = np.bincount(flows_cat, minlength=nflows)
+    w_cat = weights[flows_cat]
+    # The same entries as a (longest path) × F table of link indices, so a
+    # column's fair share is one min down its table column. Short paths
+    # are padded with link ``nlinks``, whose share is inf. A fixed column
+    # is retired by pointing its first row at link ``nlinks + 1``, whose
+    # share is nan: its share is then nan and fails every comparison.
+    per_col = np.bincount(flows_cat, minlength=nflows)
     starts = np.zeros(nflows, dtype=np.intp)
-    if nflows:
-        np.cumsum(per_flow[:-1], out=starts[1:])
-    sparse = bool(nflows) and bool(per_flow.all())  # reduceat needs >=1 link/flow
+    np.cumsum(per_col[:-1], out=starts[1:])
+    table = np.full((per_col.max(), nflows), nlinks)
+    table[np.arange(flows_cat.shape[0]) - starts[flows_cat], flows_cat] = links_cat
+    retire = table[0]
+    share = np.full(nlinks + 2, np.inf)
+    share[-1] = np.nan
+    link_share = share[:nlinks]
+    # Live members per link. Integer-valued, so the drain's per-round
+    # decrement is exact.
+    counts = np.bincount(links_cat, weights=w_cat, minlength=nlinks)
+    left = nflows
 
-    # Bound: every round fixes at least one flow (either the capped set, or
-    # the flows of a newly saturated bottleneck link), so nflows + nlinks
-    # rounds always suffice; the +2 covers the empty-set early exits.
+    # A link with no live column shares inf (or nan at 0/0); only retired
+    # columns cross such a link.
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(nflows + nlinks + 2):
-            if not unfixed.any():
-                break
-            if sparse:
-                live_entries = unfixed[flows_cat]
-                counts = np.bincount(
-                    links_cat[live_entries],
-                    weights=weights[flows_cat[live_entries]],
-                    minlength=nlinks,
-                )
+        # Every round fixes at least one column (the capped set, or the
+        # columns at the minimum share), so nflows rounds always suffice.
+        for _ in range(nflows):
+            np.divide(remaining, counts, out=link_share)
+            shares = np.minimum.reduce(share[table], axis=0)
+            fixed = fcaps <= shares * (1 + _REL_EPS)
+            if np.count_nonzero(fixed):
+                v = fcaps[fixed]
             else:
-                counts = Mf @ (unfixed * weights)  # active members per link
-            share = np.where(counts > 0, remaining / np.maximum(counts, 1), np.inf)
-            # Per-flow fair share: min share over the links of its path.
-            if sparse:
-                shares_per_flow = np.minimum.reduceat(share[links_cat], starts)
-            else:
-                shares_per_flow = np.where(M, share[:, None], np.inf).min(axis=0)
+                # No live cap is within reach, so every live column's share
+                # is below its cap: the bottleneck columns get their share.
+                m = np.fmin.reduce(shares)  # fmin skips the retired nans
+                fixed = shares <= m * (1 + _REL_EPS)
+                v = shares[fixed]
+            rates[fixed] = v
+            left -= v.shape[0]
+            if not left:
+                # The last round's drain would never be read: skip it.
+                return rates
+            retire[fixed] = nlinks + 1
+            _drain(remaining, counts, fixed, v, flows_cat, links_cat, w_cat)
+    raise RuntimeError("progressive filling failed to converge")  # pragma: no cover
 
-            capped = unfixed & (fcaps <= shares_per_flow * (1 + _REL_EPS))
-            if capped.any():
-                rates[capped] = fcaps[capped]
-                unfixed &= ~capped
-                # Skip the drain when this round fixed the last columns:
-                # remaining is local and never read again, so the skip
-                # cannot move a bit of any rate.
-                if unfixed.any():
-                    _exact_drain(remaining, np.nonzero(capped)[0], rates,
-                                 weights, flows_cat, links_cat)
-                continue
 
-            live = shares_per_flow[unfixed]
-            m = live.min()
-            newly = unfixed & (shares_per_flow <= m * (1 + _REL_EPS))
-            rates[newly] = np.minimum(shares_per_flow[newly], fcaps[newly])
-            unfixed &= ~newly
-            if unfixed.any():
-                _exact_drain(remaining, np.nonzero(newly)[0], rates,
-                             weights, flows_cat, links_cat)
-        else:  # pragma: no cover - loop bound is a proof, not a code path
-            raise RuntimeError("progressive filling failed to converge")
+def _entries(
+    flow_links: Sequence[Sequence[int]], nlinks: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten paths: (path lengths, flow of each entry, link of each entry).
+
+    Raises ``ValueError`` naming the flow if a link id is outside
+    ``0..nlinks-1`` (numpy would silently wrap a negative one).
+    """
+    lengths = np.fromiter((len(p) for p in flow_links), dtype=np.intp,
+                          count=len(flow_links))
+    flow_of = np.repeat(np.arange(lengths.shape[0]), lengths)
+    link_ids = np.fromiter((l for path in flow_links for l in path),
+                           dtype=np.intp, count=flow_of.shape[0])
+    bad = (link_ids < 0) | (link_ids >= nlinks)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"flow {flow_of[i]} crosses link id {link_ids[i]}; "
+                         f"link ids run 0..{nlinks - 1}")
+    return lengths, flow_of, link_ids
 
 
 def max_min_rates(
@@ -255,7 +227,8 @@ def max_min_rates(
         Usable capacity of each link (bytes/s), indexed by link id.
     flow_links:
         For each flow, the link ids on its path (may be empty for loopback
-        flows, which then get exactly their cap).
+        flows, which then get exactly their cap). Ids must lie in
+        ``0..len(link_caps)-1``.
     flow_caps:
         Per-flow rate cap (``inf`` allowed only for flows with a non-empty
         path; a pathless flow must have a finite cap).
@@ -296,18 +269,19 @@ def max_min_rates(
     if nflows == 0:
         return rates
 
-    # Incidence matrix M[l, f] = flow f crosses link l.
-    M = np.zeros((nlinks, nflows), dtype=bool)
-    for f, path in enumerate(flow_links):
-        for l in path:
-            M[l, f] = True
-
-    pathless = ~M.any(axis=0)
+    lengths, flow_of, link_ids = _entries(flow_links, nlinks)
+    pathless = lengths == 0
     if np.any(pathless & ~np.isfinite(fcaps)):
         raise ValueError("a flow with an empty path must have a finite cap")
     rates[pathless] = fcaps[pathless]
 
-    _water_fill(M, M.astype(np.float64), caps, fcaps, rates, ~pathless, weights)
+    pathful = np.flatnonzero(~pathless)
+    if pathful.size:
+        # Incidence matrix M[l, f] = flow f crosses link l.
+        M = np.zeros((nlinks, nflows), dtype=bool)
+        M[link_ids, flow_of] = True
+        rates[pathful] = _water_fill(M[:, pathful], caps, fcaps[pathful],
+                                     weights[pathful])
     return rates
 
 
@@ -322,16 +296,9 @@ def link_utilization(
     :meth:`~repro.net.flow.FlowEngine.link_utilization` delegates here.
     """
     caps = np.asarray(link_caps, dtype=float)
+    _, flow_of, link_ids = _entries(flow_links, caps.shape[0])
     used = np.zeros_like(caps)
-    lengths = np.fromiter(
-        (len(p) for p in flow_links), dtype=np.intp, count=len(flow_links)
-    )
-    total = int(lengths.sum())
-    if total:
-        idx = np.fromiter(
-            (l for path in flow_links for l in path), dtype=np.intp, count=total
-        )
-        np.add.at(used, idx, np.repeat(np.asarray(rates, dtype=float), lengths))
+    np.add.at(used, link_ids, np.asarray(rates, dtype=float)[flow_of])
     return used / caps
 
 
@@ -417,29 +384,28 @@ class FairshareState:
             self._dirty.add(a)
         return a
 
+    def _union_path(self, path: List[int]) -> int:
+        """Union every link of a non-empty ``path``; return the root."""
+        root = self._find(path[0])
+        for l in path[1:]:
+            root = self._union(root, self._find(l))
+        return root
+
     # -- capacity maintenance -------------------------------------------------
 
     def _grow_cols(self) -> None:
         old = self._M.shape[1]
         new = max(2 * old, 1)
         PROFILE.count("fairshare.matrix_growths")
-        M = np.zeros((self._nlinks, new), dtype=bool)
-        M[:, :old] = self._M
-        self._M = M
-        for name in ("_fcaps", "_rates", "_weights"):
-            arr = np.zeros(new)
-            arr[:old] = getattr(self, name)
-            setattr(self, name, arr)
-        active = np.zeros(new, dtype=bool)
-        active[:old] = self._active
-        self._active = active
+        # np.pad appends zeros (False) and keeps each array's dtype.
+        self._M = np.pad(self._M, ((0, 0), (0, new - old)))
+        for name in ("_fcaps", "_rates", "_weights", "_active"):
+            setattr(self, name, np.pad(getattr(self, name), (0, new - old)))
         self._paths.extend([None] * (new - old))
         self._free.extend(range(new - 1, old - 1, -1))
 
     def _grow_links(self, nlinks: int) -> None:
-        M = np.zeros((nlinks, self._M.shape[1]), dtype=bool)
-        M[: self._nlinks] = self._M
-        self._M = M
+        self._M = np.pad(self._M, ((0, nlinks - self._nlinks), (0, 0)))
         self._parent.extend(range(self._nlinks, nlinks))
         self._size.extend([1] * (nlinks - self._nlinks))
         self._nlinks = nlinks
@@ -476,11 +442,18 @@ class FairshareState:
         ``weight`` is the route-class member multiplicity: a weight-``w``
         column is solved as ``w`` identical flows, and its rate is the
         per-member rate. Use :meth:`set_weight` for join/leave updates.
+        Link ids at or above the current link count grow the state; a
+        negative id is rejected.
         """
         if fcap <= 0:
             raise ValueError("flow caps must be positive")
         if weight < 1 or weight != int(weight):
             raise ValueError("flow weight must be a positive integer")
+        path = list(path)
+        if path and min(path) < 0:
+            raise ValueError(f"path {path} has negative link id {min(path)}")
+        if not path and not np.isfinite(fcap):
+            raise ValueError("a flow with an empty path must have a finite cap")
         if not self._free:
             self._grow_cols()
         col = self._free.pop()
@@ -489,7 +462,6 @@ class FairshareState:
         self._weights[col] = float(weight)
         self._active[col] = True
         self.nactive += 1
-        path = list(path)
         self._paths[col] = path
         if path:
             # The network may have grown links since the last solve; row
@@ -498,14 +470,10 @@ class FairshareState:
             if need > self._nlinks:
                 self._grow_links(need)
             self._M[path, col] = True
-            root = self._find(path[0])
-            for l in path[1:]:
-                root = self._union(root, self._find(l))
+            root = self._union_path(path)
             self._comp_cols.setdefault(root, set()).add(col)
             self._dirty.add(root)
         else:
-            if not np.isfinite(fcap):
-                raise ValueError("a flow with an empty path must have a finite cap")
             # Pathless flows are their own trivial component: the rate is
             # the cap, now and forever — rated at the next solve(), no
             # water-filling needed.
@@ -545,8 +513,8 @@ class FairshareState:
         so a later re-join is a pure weight bump with no matrix or
         union-find churn) but is skipped by the solver entirely — a parked
         column costs nothing per solve. A parked column's links staying
-        glued cannot move a bit: per-link arithmetic only ever sees a
-        link's own member flows (see the module docstring).
+        glued changes no per-link arithmetic (see the module docstring for
+        the one near-tie caveat).
         """
         if not self._active[col]:
             raise ValueError(f"column {col} is not active")
@@ -591,12 +559,9 @@ class FairshareState:
         self._dirty = set()
         for col in np.nonzero(self._active)[0]:
             path = self._paths[int(col)]
-            if not path:
-                continue
-            root = self._find(path[0])
-            for l in path[1:]:
-                root = self._union(root, self._find(l))
-            self._comp_cols.setdefault(root, set()).add(int(col))
+            if path:
+                root = self._union_path(path)
+                self._comp_cols.setdefault(root, set()).add(int(col))
         for col in dirty_cols:
             path = self._paths[col]
             if path:
@@ -613,12 +578,16 @@ class FairshareState:
         """
         moved_cols: List[np.ndarray] = []
         moved_old: List[np.ndarray] = []
+
+        def move(cols: np.ndarray, new_rates) -> None:
+            moved_cols.append(cols)
+            moved_old.append(self._rates[cols].copy())
+            self._rates[cols] = new_rates
+
         if self._fresh:
             fresh = np.asarray(self._fresh, dtype=np.intp)
             self._fresh = []
-            moved_cols.append(fresh)
-            moved_old.append(self._rates[fresh].copy())
-            self._rates[fresh] = self._fcaps[fresh]
+            move(fresh, self._fcaps[fresh])
         if self._removals >= self._REBUILD_REMOVALS:
             self._rebuild_partition()
         for root in sorted(self._dirty):
@@ -639,50 +608,26 @@ class FairshareState:
                 # constant is weakly monotone, so the min commutes with it
                 # and this produces the same bits as the general solver.
                 c = int(live_cols[0])
-                path = self._paths[c]
-                m = self._caps[path[0]]
-                for l in path[1:]:
-                    cl = self._caps[l]
-                    if cl < m:
-                        m = cl
-                w = self._weights[c]
-                if w != 1.0:
-                    m = m / w
+                m = min(self._caps[l] for l in self._paths[c]) / self._weights[c]
                 fcap = self._fcaps[c]
-                rate = fcap if fcap <= m * (1 + _REL_EPS) else min(m, fcap)
+                rate = fcap if fcap <= m * (1 + _REL_EPS) else m
                 self.single_flow_solves += 1
                 PROFILE.count("fairshare.single_flow_solves")
                 if rate != self._rates[c]:
-                    moved = np.asarray([c], dtype=np.intp)
-                    moved_cols.append(moved)
-                    moved_old.append(self._rates[moved].copy())
-                    self._rates[c] = rate
+                    move(np.asarray([c], dtype=np.intp), rate)
                 continue
             cols = np.sort(live_cols)
             sub = self._M[:, cols]
             links = np.nonzero(sub.any(axis=1))[0]
-            subM = sub[links]
-            fcaps = self._fcaps[cols]
-            rates = np.zeros(cols.shape[0])
             self.solves += 1
             self.solved_rows += int(cols.shape[0])
             PROFILE.count("fairshare.solves")
             PROFILE.count("fairshare.solved_rows", cols.shape[0])
-            _water_fill(
-                subM,
-                subM.astype(np.float64),
-                self._caps[links],
-                fcaps,
-                rates,
-                np.ones(cols.shape[0], dtype=bool),
-                self._weights[cols],
-            )
+            rates = _water_fill(sub[links], self._caps[links],
+                                self._fcaps[cols], self._weights[cols])
             diff = rates != self._rates[cols]
             if diff.any():
-                moved = cols[diff]
-                moved_cols.append(moved)
-                moved_old.append(self._rates[moved].copy())
-                self._rates[moved] = rates[diff]
+                move(cols[diff], rates[diff])
         self._dirty.clear()
         if not moved_cols:
             empty = np.empty(0)

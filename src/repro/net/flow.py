@@ -37,10 +37,12 @@ Per-flow accounting stays exact: every flow owns an engine-level *slot*
 back to member slots after each solve, and the slot allocator reuses the
 solver's exact LIFO/doubling discipline so slot numbering — and therefore
 every order-sensitive float sum over slots — is identical whether the
-engine aggregates or not. Combined with the solver's exactly-rounded
-arithmetic (see ``fairshare``'s module docstring), ``aggregate=True`` and
-``aggregate=False`` produce bit-identical per-flow rate series, byte
-accounting, and tag series; the flag is an escape hatch, not a tolerance.
+engine aggregates or not. Combined with the solver's drain, which groups
+fixed demand by rate so that ``w`` members and one weight-``w`` class
+perform the same float operations (see ``fairshare``'s module docstring),
+``aggregate=True`` and ``aggregate=False`` produce bit-identical per-flow
+rate series, byte accounting, and tag series; the flag is the test
+oracle, not a tolerance.
 
 Tags: each transfer may carry string tags ("wan", "sdsc->ncsa", ...); the
 engine maintains an exact piecewise-constant aggregate-rate series per tag —

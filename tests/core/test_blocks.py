@@ -1,7 +1,7 @@
 """Tests for stripe geometry."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.blocks import BlockRange, StripeGeometry
@@ -75,12 +75,20 @@ class TestPlacement:
             StripeGeometry(1024, 4).nsd_for(0, -1)
 
 
+_split_block_size = st.shared(st.integers(1, 1 << 22), key="split_block_size")
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    block_size=st.integers(1, 1 << 22),
+    block_size=_split_block_size,
     offset=st.integers(0, 1 << 40),
-    length=st.integers(1, 1 << 24),
+    # At most 4096 pieces per example: a 16 MiB length at block_size=1
+    # would split into 16M pieces.
+    length=_split_block_size.flatmap(
+        lambda bs: st.integers(1, min(1 << 24, bs * 4096))
+    ),
 )
+@example(block_size=1, offset=(1 << 40) - 5, length=4096)
 def test_split_reassembles_exactly(block_size, offset, length):
     """Pieces tile [offset, offset+length) contiguously without overlap."""
     geo = StripeGeometry(block_size, 7)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.fairshare import link_utilization, max_min_rates
+from repro.net.fairshare import FairshareState, link_utilization, max_min_rates
 
 INF = float("inf")
 
@@ -54,6 +54,25 @@ class TestBasics:
             max_min_rates([10.0], [[0]], [0.0])
         with pytest.raises(ValueError):
             max_min_rates([10.0], [[0]], [1.0, 2.0])
+
+    def test_negative_link_id_rejected(self):
+        # Unchecked, numpy indexing would route -1 over the last link.
+        with pytest.raises(ValueError, match="flow 1 crosses link id -1"):
+            max_min_rates([1e9, 5e8], [[0], [-1]], [INF, INF])
+        with pytest.raises(ValueError, match="flow 1 crosses link id -1"):
+            link_utilization([1e9, 5e8], [[0], [-1]], [1e8, 1e8])
+
+    def test_link_id_past_the_end_rejected(self):
+        with pytest.raises(ValueError, match="flow 0 crosses link id 2"):
+            max_min_rates([1e9, 5e8], [[0, 2]], [INF])
+
+    def test_state_rejects_negative_link_id_untouched(self):
+        state = FairshareState([1e9, 5e8], capacity=2)
+        with pytest.raises(ValueError, match="negative link id -1"):
+            state.add_flow([0, -1], INF)
+        assert state.nactive == 0
+        assert state.capacity == 2
+        assert state.solve()[0].size == 0
 
     def test_parallel_streams_aggregate_to_line_rate(self):
         # The paper's key effect: N window-capped streams fill the WAN pipe.
