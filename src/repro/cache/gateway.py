@@ -10,16 +10,16 @@ with :class:`GatewayMount`; the data path then looks like:
   lease (:mod:`repro.cache.lease`) is live;
 * **read miss** — misses arriving in the same instant (a client
   read-ahead burst) are batched, planned with
-  :func:`repro.core.client.plan_transfers`, and fetched over the WAN
-  through the existing coalesced ``read_blocks`` scatter-gather RPC,
-  then installed in the shared :class:`~repro.cache.store.GatewayBlockCache`
-  (charging the gateway's local disk for the fill);
+  :func:`repro.core.client.plan_transfers`, and fetched over the WAN one
+  planned run at a time, then installed in the shared
+  :class:`~repro.cache.store.GatewayBlockCache` (charging the gateway's
+  local disk for the fill);
 * **write-through** — the write crosses the WAN before the client is
   acked; the cached copy is updated in place and stays clean;
 * **writeback** — the write is acked after the LAN leg and a local
   media write; a bounded FIFO dirty queue preserves write order and a
-  single flusher drains it to the home cluster through coalesced
-  ``write_blocks`` RPCs. ``fsync`` (and token revocation) insert a
+  single flusher drains it to the home cluster in runs of same-server
+  writes. ``fsync`` (and token revocation) insert a
   **flush barrier**: the barrier completes only when every write of that
   inode enqueued before it has reached home — close-to-open coherence
   and revoke semantics survive the asynchrony.
@@ -31,6 +31,11 @@ until the dirty-queue bound is hit. At heal the flusher replays the
 queue in order and revalidates each queued inode once — a version
 advanced by a *foreign* writer during the cut is counted as a conflict
 (last-writer-wins, surfaced in the metrics rather than silently merged).
+
+Every home read and write goes through :mod:`repro.core.replication`'s
+run functions, which pick the data path (one NSD RPC per run, or
+one-block runs through the replica manager), exactly as for a direct
+mount.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 from repro.cache.lease import LeaseInfo, LeaseServer
 from repro.cache.store import GatewayBlockCache
 from repro.core.client import Identity, MountedFs, ROOT, plan_transfers
+from repro.core.replication import read_run, run_limit, write_run
 from repro.obs.registry import OBS
 from repro.sim.kernel import Event
 from repro.sim.trace import TRACE
@@ -123,10 +129,6 @@ class CacheGateway:
                 fs._gateway_lease_server = lease_server
         self.lease_server = lease_server
         lease_server.register(self)
-        # Per-client served-bytes attribution on the home service: lets
-        # experiments cross-check origin traffic against the gateway's
-        # own counters. Flag-guarded, so non-gateway runs never pay it.
-        fs.service.track_client_bytes = True
         #: client nodes mounted through this gateway (GatewayMount adds).
         self.local_nodes: set = set()
         # -- lease client state
@@ -412,50 +414,36 @@ class CacheGateway:
         yield self.sim.timeout(0.0)
         self._drain_scheduled = False
         pending, self._pending = self._pending, []
-        if self.fs.replication.active:
-            # Replicated home filesystems keep per-block replica fan-out,
-            # exactly like the direct-mount client path.
-            for item in pending:
-                self.sim.process(
-                    self._fetch_replicated(item), name="gw-fetch-repl"
-                )
-            return
-        groups: Dict[Tuple[str, int], List[tuple]] = {}
-        for item in pending:
-            gw, _inode, _block, placed, _done = item
-            groups.setdefault((gw, placed[0]), []).append(item)
-        for (gw, nsd_id), items in groups.items():
-            # plan_transfers groups contiguous physical runs; the "block
-            # index" slot carries the batch position so runs map back to
-            # their waiters even across different inodes.
-            triples = [
-                (nsd_id, item[3][1], idx) for idx, item in enumerate(items)
-            ]
-            for run in plan_transfers(triples, self.max_coalesce):
-                run_items = [items[idx] for idx in run.blocks]
-                self.sim.process(
-                    self._fetch_run(gw, nsd_id, run.phys, run_items),
-                    name=f"gw-fetchr:{nsd_id}:{run.phys[0]}+{len(run.phys)}",
-                )
+        # Plan per (gateway node, NSD) group, groups in arrival order: a
+        # triple's "NSD" slot carries its group's rank and its "block
+        # index" slot the batch position, so runs map back to their
+        # waiters even across different inodes.
+        groups: Dict[Tuple[str, int], int] = {}
+        triples = [
+            (groups.setdefault((gw, placed[0]), len(groups)), placed[1], idx)
+            for idx, (gw, _inode, _block, placed, _done) in enumerate(pending)
+        ]
+        keys = list(groups)
+        for run in plan_transfers(triples, run_limit(self.fs, self.max_coalesce)):
+            gw, nsd_id = keys[run.nsd_id]
+            self.sim.process(
+                self._fetch_run(gw, nsd_id, run.phys, [pending[i] for i in run.blocks]),
+                name="gw-fetch-run",
+            )
 
     def _fetch_run(self, gw, nsd_id, phys_list, items):
         bs = self.fs.block_size
-        total = bs * len(items)
+        _gw, inode, block, _placed, _done = items[0]
         try:
-            if len(items) == 1:
-                data = yield self.service.read_block(
-                    gw, nsd_id, phys_list[0], 0, bs, tags=self.tags + ("read",)
-                )
-                datas = [data]
-            else:
-                datas = yield self.service.read_blocks(
-                    gw, nsd_id, phys_list, tags=self.tags + ("read",)
-                )
-        except BaseException as exc:
+            datas = yield from read_run(
+                self.fs, gw, inode.ino, block, nsd_id, phys_list, self.tags + ("read",)
+            )
+        except Exception as exc:
             for _gw, inode, block, _placed, done in items:
                 del self._fetching[(inode.ino, block)]
                 done.fail(exc)
             return
+        total = bs * len(items)
         self.origin_bytes += total
         # install: one aggregated local media write for the whole run
         yield self.disks[gw].transfer(total)
@@ -465,27 +453,6 @@ class CacheGateway:
             self.cache.insert(inode.ino, block, data, bs)
             del self._fetching[(inode.ino, block)]
             done.succeed(data)
-
-    def _fetch_replicated(self, item):
-        gw, inode, block, _placed, done = item
-        bs = self.fs.block_size
-        try:
-            data = yield self.fs.integrity.read_block(
-                gw,
-                self.fs.replica_placements(inode, block),
-                tags=self.tags + ("read",),
-            )
-        except BaseException as exc:
-            del self._fetching[(inode.ino, block)]
-            done.fail(exc)
-            return
-        self.origin_bytes += bs
-        yield self.disks[gw].transfer(bs)
-        if not self.fs.store_data:
-            data = None
-        self.cache.insert(inode.ino, block, data, bs)
-        del self._fetching[(inode.ino, block)]
-        done.succeed(data)
 
     # -- write path --------------------------------------------------------------
 
@@ -522,7 +489,7 @@ class CacheGateway:
                 None if isinstance(payload, int) else payload,
                 length, dirty_seq=0,
             )
-            yield self._home_write_event(gw, inode, block, nsd_id, phys, lo, payload)
+            yield self._home_write(gw, ino, block, nsd_id, [(phys, lo, payload)])
             self.writes_through += 1
         else:
             yield from self._enqueue(gw, inode, block, nsd_id, phys, lo, payload)
@@ -535,17 +502,11 @@ class CacheGateway:
                 gw=self.name, mode=self.mode,
             )
 
-    def _home_write_event(self, gw, inode, block, nsd_id, phys, lo, payload):
-        if self.fs.replication.active:
-            return self.fs.integrity.write_block(
-                gw,
-                self.fs.replica_placements(inode, block),
-                lo,
-                payload,
-                tags=self.tags + ("write",),
-            )
-        return self.service.write_block(
-            gw, nsd_id, phys, lo, payload, tags=self.tags + ("write",)
+    def _home_write(self, gw, ino, block, nsd_id, extents) -> Event:
+        """Write a run of ``(phys, offset, data)`` extents to the home
+        cluster; ``block`` of inode ``ino`` is the first extent's block."""
+        return write_run(
+            self.fs, gw, ino, block, nsd_id, extents, self.tags + ("write",)
         )
 
     def _enqueue(self, gw, inode, block, nsd_id, phys, lo, payload):
@@ -588,12 +549,14 @@ class CacheGateway:
                 # is a write conflict (detected, counted, last-writer-wins).
                 self._heals_seen = part.heals
                 yield from self._replay_check()
-            batch: List[_QueuedWrite] = [self._dirty_q.popleft()]
+            head = self._dirty_q.popleft()
+            batch: List[_QueuedWrite] = [head]
+            limit = run_limit(self.fs, self.max_coalesce)
             while (
                 self._dirty_q
-                and len(batch) < self.max_coalesce
-                and self._dirty_q[0].gw == batch[0].gw
-                and self._dirty_q[0].nsd_id == batch[0].nsd_id
+                and len(batch) < limit
+                and self._dirty_q[0].gw == head.gw
+                and self._dirty_q[0].nsd_id == head.nsd_id
             ):
                 batch.append(self._dirty_q.popleft())
             total = sum(
@@ -601,19 +564,11 @@ class CacheGateway:
                 for q in batch
             )
             # read the dirty data back off the gateway's local media
-            yield self.disks[batch[0].gw].transfer(max(total, 1))
-            if self.fs.replication.active:
-                for q in batch:
-                    inode = self.fs.inodes.get(q.ino)
-                    yield self._home_write_event(
-                        q.gw, inode, q.block, q.nsd_id, q.phys, q.lo, q.payload
-                    )
-            else:
-                items = [(q.phys, q.lo, q.payload) for q in batch]
-                yield self.service.write_blocks(
-                    batch[0].gw, batch[0].nsd_id, items,
-                    tags=self.tags + ("write",),
-                )
+            yield self.disks[head.gw].transfer(max(total, 1))
+            yield self._home_write(
+                head.gw, head.ino, head.block, head.nsd_id,
+                [(q.phys, q.lo, q.payload) for q in batch],
+            )
             for q in batch:
                 self.writes_flushed += 1
                 self.flushed_bytes += (
@@ -741,15 +696,19 @@ class GatewayMount(MountedFs):
         self.gateway = gateway
         gateway.local_nodes.add(node)
 
-    def _remote_read_event(self, inode, block_index, nsd_id, phys):
-        return self.gateway.read_block(
-            self.node, inode, block_index, (nsd_id, phys),
-            tags=self.tags + ("read",),
-        )
+    def _read_run(self, inode, run):
+        # Runs here are one block (max_coalesce stays 1).
+        return [(
+            yield self.gateway.read_block(
+                self.node, inode, run.blocks[0], (run.nsd_id, run.phys[0]),
+                tags=self.tags + ("read",),
+            )
+        )]
 
-    def _remote_write_event(self, inode, block, nsd_id, phys, lo, payload):
+    def _write_run(self, inode, run, extents):
+        ((phys, lo, payload),) = extents
         return self.gateway.write_block(
-            self.node, inode, block, nsd_id, phys, lo, payload,
+            self.node, inode, run.blocks[0], run.nsd_id, phys, lo, payload,
             tags=self.tags + ("write",),
         )
 

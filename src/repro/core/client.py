@@ -13,14 +13,14 @@ on:
 * **token caching** — byte-range tokens are acquired once and kept until a
   conflicting client forces a revoke, which flushes and invalidates the
   affected cache range (close-to-open coherence across sites);
-* **transfer coalescing** (opt-in, ``max_coalesce > 1``) — contiguous
-  same-server physical block runs from reads/read-ahead and write-behind
-  are planned by :func:`plan_transfers` and moved through one
-  scatter-gather RPC (``NsdService.read_blocks``/``write_blocks``)
-  instead of per-block round trips. Off by default (``max_coalesce=1``)
-  the data path is byte-for-byte the legacy per-block code, so calibrated
-  experiment shapes are untouched; replicated filesystems always use the
-  legacy path (replica fan-out stays per block).
+* **one block-I/O path** — demand reads, read-ahead, read-modify-write
+  and write-behind all plan their blocks with :func:`plan_transfers` and
+  move each planned run through one RPC. ``max_coalesce`` bounds a run:
+  above 1, contiguous same-server physical blocks share a scatter-gather
+  RPC; at the default of 1 every run is one block, issued in the order a
+  per-block client issues them, so calibrated experiment shapes are
+  untouched. Replicated filesystems keep one-block runs (replica fan-out
+  stays per block); :mod:`repro.core.replication` makes that choice.
 
 Identity: each mount carries an :class:`Identity` (numeric uid/gid plus
 optional GSI DN). Files record both; permission checks prefer the DN when
@@ -30,7 +30,7 @@ present (§6's extension).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.filesystem import Filesystem
 from repro.core.inode import Inode
@@ -40,6 +40,7 @@ from repro.core.namespace import (
     PermissionDenied,
 )
 from repro.core.pagepool import PagePool
+from repro.core.replication import read_run, run_limit, write_run
 from repro.core.tokens import RO, RW, ManagerMovedError, TokenClient
 from repro.obs.registry import OBS
 from repro.sim.kernel import Event, Simulation
@@ -67,9 +68,13 @@ ROOT = Identity(uid=0, gid=0, username="root")
 WHOLE_FILE = 1 << 62
 
 
-@dataclass(frozen=True)
-class TransferRun:
-    """One planned scatter-gather RPC: contiguous physical blocks of one NSD.
+#: Planner placement of a hole (an unallocated block): it sorts before
+#: every NSD and never extends a run, so each hole is zero-filled alone.
+HOLE = (-1, -1)
+
+
+class TransferRun(NamedTuple):
+    """One planned scatter-gather RPC: physical blocks of one NSD.
 
     ``phys`` and ``blocks`` are parallel: ``phys[i]`` is the physical block
     backing logical block index ``blocks[i]``.
@@ -83,39 +88,29 @@ class TransferRun:
 def plan_transfers(
     placed: "List[Tuple[int, int, int]]", max_coalesce: int
 ) -> "List[TransferRun]":
-    """Group ``(nsd_id, phys, block_index)`` triples into coalesced runs.
+    """Group ``(nsd_id, phys, block_index)`` triples into runs.
 
-    Triples are sorted by ``(nsd_id, phys)`` so a striped file's blocks
+    With ``max_coalesce == 1`` every triple is a run of its own, in input
+    order: the order a per-block client issues its RPCs in. Above 1,
+    triples are sorted by ``(nsd_id, phys)`` so a striped file's blocks
     regroup into per-server sequential runs; a run breaks on an NSD
     change, a physical-address gap, or reaching ``max_coalesce`` blocks.
     Deterministic: equal inputs always yield identical plans.
     """
+    if max_coalesce == 1:
+        return [TransferRun(n, (phys,), (block,)) for n, phys, block in placed]
     runs: List[TransferRun] = []
-    if not placed:
-        return runs
-    chunk: List[Tuple[int, int, int]] = []
-    for item in sorted(placed):
-        if chunk and (
-            item[0] != chunk[-1][0]
-            or item[1] != chunk[-1][1] + 1
-            or len(chunk) >= max_coalesce
+    for nsd_id, phys, block in sorted(placed):
+        last = runs[-1] if runs else None
+        if (
+            last is not None
+            and nsd_id == last.nsd_id
+            and phys == last.phys[-1] + 1
+            and len(last.phys) < max_coalesce
         ):
-            runs.append(
-                TransferRun(
-                    nsd_id=chunk[0][0],
-                    phys=tuple(p for _, p, _ in chunk),
-                    blocks=tuple(b for _, _, b in chunk),
-                )
-            )
-            chunk = []
-        chunk.append(item)
-    runs.append(
-        TransferRun(
-            nsd_id=chunk[0][0],
-            phys=tuple(p for _, p, _ in chunk),
-            blocks=tuple(b for _, _, b in chunk),
-        )
-    )
+            runs[-1] = TransferRun(nsd_id, last.phys + (phys,), last.blocks + (block,))
+        else:
+            runs.append(TransferRun(nsd_id, (phys,), (block,)))
     return runs
 
 
@@ -433,7 +428,7 @@ class MountedFs:
             self.fs.ensure_block(inode, piece.block_index)
             # Dirty throttle: wait for flushers before adding more dirty data.
             while self.pool.total_dirty_blocks >= self._max_dirty_blocks:
-                self._kick_flushes(inode.ino)
+                self._kick_flushes(inode.ino, self.pool.dirty_blocks(inode.ino))
                 pending = list(self._flushing.values())
                 if not pending:
                     break
@@ -444,7 +439,7 @@ class MountedFs:
                 inode, piece.block_index
             ) is not None:
                 # read-modify-write: fetch the existing block first
-                yield self._fetch_block(inode, piece.block_index)
+                yield self._fetch_blocks(inode, [piece.block_index])[0]
             if isinstance(data, int):
                 chunk = None
             else:
@@ -455,7 +450,7 @@ class MountedFs:
         inode.size = max(inode.size, offset + length)
         inode.mtime = self.sim.now
         self.bytes_written += length
-        self._kick_flushes(inode.ino)
+        self._kick_flushes(inode.ino, self.pool.dirty_blocks(inode.ino))
         return length
 
     def _pread(self, handle: FileHandle, offset: int, length: int):
@@ -489,18 +484,11 @@ class MountedFs:
             for piece in pieces
             if self.pool.peek(inode.ino, piece.block_index) is None
         ]
-        if self._coalescing:
-            # One transfer plan over the read's own misses *and* the
-            # read-ahead window: striped neighbours regroup into
-            # per-server scatter-gather runs. Await only the read's own
-            # blocks; the rest of each run completes asynchronously.
-            events = self._fetch_blocks(inode, need + ahead)
-            fetches = [events[b] for b in need]
-        else:
-            for nxt in ahead:
-                self._fetch_block(inode, nxt)  # async, not awaited
-            # fetch every missing block of the read itself in parallel
-            fetches = [self._fetch_block(inode, b) for b in need]
+        # One plan over the read-ahead window and then the read's own
+        # misses: striped neighbours regroup into per-server runs, and
+        # one-block runs go out in this order. Await only the read's own
+        # blocks; read-ahead completes asynchronously.
+        fetches = self._fetch_blocks(inode, ahead + need)[len(ahead):]
         if fetches:
             yield self.sim.all_of(fetches)
         handle._last_block = last_block
@@ -513,7 +501,7 @@ class MountedFs:
             entry = self.pool.get(inode.ino, piece.block_index)
             attempts = 0
             while entry is None and attempts < 8:
-                yield self._fetch_block(inode, piece.block_index)
+                yield self._fetch_blocks(inode, [piece.block_index])[0]
                 entry = self.pool.get(inode.ino, piece.block_index)
                 attempts += 1
             if entry is None:
@@ -549,200 +537,112 @@ class MountedFs:
             bytes(part) if type(part) is int else part for part in out
         )
 
-    def _remote_read_event(self, inode: Inode, block_index: int,
-                           nsd_id: int, phys: int) -> Event:
-        """One block's remote read; subclasses reroute (caching gateway)."""
-        if self.fs.replication.active:
-            # Replicated path: cheapest replica, end-to-end verify,
-            # failover + read-repair on rot (repro.core.replication).
-            return self.fs.integrity.read_block(
-                self.node,
-                self.fs.replica_placements(inode, block_index),
-                tags=self.tags + ("read",),
-            )
-        return self.fs.service.read_block(
-            self.node,
-            nsd_id,
-            phys,
-            0,
-            self.fs.block_size,
-            tags=self.tags + ("read",),
-        )
+    def _fetch_blocks(self, inode: Inode, indices: List[int]) -> List[Event]:
+        """Fetch blocks into the pool; returns one done event per index.
 
-    def _remote_write_event(self, inode: Inode, block: int, nsd_id: int,
-                            phys: int, lo: int, payload: "bytes | int") -> Event:
-        """One block's remote write; subclasses reroute (caching gateway)."""
-        if self.fs.replication.active:
-            # Fan out to every replica; completes at the ack quorum.
-            return self.fs.integrity.write_block(
-                self.node,
-                self.fs.replica_placements(inode, block),
-                lo,
-                payload,
-                tags=self.tags + ("write",),
-            )
-        return self.fs.service.write_block(
-            self.node,
-            nsd_id,
-            phys,
-            lo,
-            payload,
-            tags=self.tags + ("write",),
-        )
-
-    def _fetch_block(self, inode: Inode, block_index: int) -> Event:
-        """Fetch one block into the pool (deduplicated across callers)."""
-        key = (inode.ino, block_index)
-        inflight = self._fetching.get(key)
-        if inflight is not None:
-            return inflight
-        done = self.sim.event(name=f"fetch:{key}")
-        placed = self.fs.lookup_block(inode, block_index)
-
-        def _proc():
-            if placed is None:
-                # sparse: zero-fill without touching the network
-                yield self.sim.timeout(0.0)
-                data = bytes(self.fs.block_size) if self.fs.store_data else None
-            else:
-                evt = self._remote_read_event(inode, block_index, *placed)
-                try:
-                    data = yield evt
-                except BaseException as exc:
-                    # Throw into every waiter instead of leaving them
-                    # parked forever; an unawaited read-ahead fetch just
-                    # drops its failure (defused) and a later read retries.
-                    del self._fetching[key]
-                    done._defused = True
-                    done.fail(exc)
-                    return
-                if not self.fs.store_data:
-                    data = None
-            if self.pool.peek(*key) is None:
-                self.pool.put_clean(key[0], key[1], data, self.fs.block_size)
-            del self._fetching[key]
-            done.succeed()
-
-        self._fetching[key] = done
-        self.sim.process(_proc(), name=f"fetchp:{key}")
-        return done
-
-    @property
-    def _coalescing(self) -> bool:
-        """Scatter-gather transfers on? (Replication keeps per-block fan-out.)"""
-        return self.max_coalesce > 1 and not self.fs.replication.active
-
-    def _fetch_blocks(self, inode: Inode, indices: List[int]) -> Dict[int, Event]:
-        """Fetch several blocks, coalescing contiguous same-NSD runs.
-
-        Returns ``{block_index: done_event}`` so the caller can await any
-        subset. Blocks already in flight reuse their existing event; sparse
-        or lone blocks take the per-block path.
+        A block already in flight reuses its event. The others are planned
+        into runs (:func:`plan_transfers`), each read by one process;
+        holes are zero-filled without touching the network.
         """
-        events: Dict[int, Event] = {}
+        ino = inode.ino
+        events: List[Event] = []
         todo: List[Tuple[int, int, int]] = []
         for block in indices:
-            inflight = self._fetching.get((inode.ino, block))
-            if inflight is not None:
-                events[block] = inflight
-                continue
-            placed = self.fs.lookup_block(inode, block)
-            if placed is None:  # sparse: zero-fill, no RPC to merge
-                events[block] = self._fetch_block(inode, block)
-                continue
-            todo.append((placed[0], placed[1], block))
-        for run in plan_transfers(todo, self.max_coalesce):
-            if len(run.blocks) == 1:
-                events[run.blocks[0]] = self._fetch_block(inode, run.blocks[0])
-            else:
-                events.update(self._fetch_run(inode, run))
+            key = (ino, block)
+            done = self._fetching.get(key)
+            if done is None:
+                done = self._fetching[key] = self.sim.event(name="fetch")
+                nsd_id, phys = self.fs.lookup_block(inode, block) or HOLE
+                todo.append((nsd_id, phys, block))
+            events.append(done)
+        for run in plan_transfers(todo, run_limit(self.fs, self.max_coalesce)):
+            self.sim.process(self._fill_run(inode, run), name="fetch-run")
         return events
 
-    def _fetch_run(self, inode: Inode, run: TransferRun) -> Dict[int, Event]:
-        """One scatter-gather read RPC filling every block of ``run``."""
+    def _fill_run(self, inode: Inode, run: TransferRun):
+        """Read one planned run into the pool, then fire each block's event."""
         ino = inode.ino
-        dones: Dict[int, Event] = {}
-        for block in run.blocks:
-            done = self.sim.event(name=f"fetch:{(ino, block)}")
-            self._fetching[(ino, block)] = done
-            dones[block] = done
+        try:
+            if run.nsd_id == HOLE[0]:
+                yield self.sim.timeout(0.0)
+                datas = [bytes(self.fs.block_size) if self.fs.store_data else None]
+            else:
+                datas = yield from self._read_run(inode, run)
+        except Exception as exc:
+            # Throw into every waiter instead of leaving them parked
+            # forever; an unawaited read-ahead fetch just drops its
+            # failure (defused) and a later read retries.
+            for block in run.blocks:
+                done = self._fetching.pop((ino, block))
+                done._defused = True
+                done.fail(exc)
+            return
+        for block, data in zip(run.blocks, datas):
+            if self.pool.peek(ino, block) is None:
+                self.pool.put_clean(
+                    ino, block, data if self.fs.store_data else None, self.fs.block_size
+                )
+            self._fetching.pop((ino, block)).succeed()
 
-        def _proc():
-            datas = yield self.fs.service.read_blocks(
-                self.node, run.nsd_id, run.phys, tags=self.tags + ("read",)
-            )
-            for block, data in zip(run.blocks, datas):
-                if not self.fs.store_data:
-                    data = None
-                if self.pool.peek(ino, block) is None:
-                    self.pool.put_clean(ino, block, data, self.fs.block_size)
-                del self._fetching[(ino, block)]
-                dones[block].succeed()
-
-        self.sim.process(
-            _proc(), name=f"fetchr:{ino}:{run.blocks[0]}+{len(run.blocks)}"
+    def _read_run(self, inode: Inode, run: TransferRun):
+        """Read one run from home (``yield from``; returns each block's
+        bytes); subclasses reroute (caching gateway)."""
+        return read_run(
+            self.fs, self.node, inode.ino, run.blocks[0], run.nsd_id, run.phys,
+            self.tags + ("read",),
         )
-        return dones
+
+    def _write_run(self, inode: Inode, run: TransferRun, extents) -> Event:
+        """Write one run's ``(phys, offset, data)`` extents home; subclasses
+        reroute (caching gateway)."""
+        return write_run(
+            self.fs, self.node, inode.ino, run.blocks[0], run.nsd_id, extents,
+            self.tags + ("write",),
+        )
 
     # -- write-behind -----------------------------------------------------------
 
-    def _kick_flushes(self, ino: int) -> None:
-        if self._coalescing:
-            self._kick_flushes_coalesced(ino)
-            return
-        for block in self.pool.dirty_blocks(ino):
+    def _kick_flushes(self, ino: int, blocks: List[int]) -> None:
+        """Plan the dirty ``blocks`` of ``ino`` not yet in flight into
+        flush runs.
+
+        Each block gets its own done event in ``self._flushing``, so
+        ``_fsync`` and ``_revoke_flush`` wait on blocks, not runs.
+        """
+        inode = None
+        placed: List[Tuple[int, int, int]] = []
+        for block in blocks:
             key = (ino, block)
-            if key not in self._flushing:
-                done = self.sim.event(name=f"flush:{key}")
-                self._flushing[key] = done
-                self.sim.process(self._flush_block(key, done), name=f"flushp:{key}")
-
-    def _kick_flushes_coalesced(self, ino: int) -> None:
-        """Plan dirty blocks into scatter-gather flush runs.
-
-        Each block still gets its own done event in ``self._flushing`` so
-        ``_fsync``/``_revoke_flush`` wait exactly as in the legacy path.
-        """
-        inode = self.fs.inodes.get(ino)
-        todo: List[Tuple[int, int, int]] = []
-        for block in self.pool.dirty_blocks(ino):
-            if (ino, block) in self._flushing:
+            if key in self._flushing:
                 continue
+            if inode is None:
+                inode = self.fs.inodes.get(ino)
+            self._flushing[key] = self.sim.event(name="flush")
             nsd_id, phys = self.fs.ensure_block(inode, block)
-            todo.append((nsd_id, phys, block))
-        for run in plan_transfers(todo, self.max_coalesce):
-            if len(run.blocks) == 1:
-                key = (ino, run.blocks[0])
-                done = self.sim.event(name=f"flush:{key}")
-                self._flushing[key] = done
-                self.sim.process(self._flush_block(key, done), name=f"flushp:{key}")
-                continue
-            dones: Dict[int, Event] = {}
-            for block in run.blocks:
-                key = (ino, block)
-                done = self.sim.event(name=f"flush:{key}")
-                self._flushing[key] = done
-                dones[block] = done
-            self.sim.process(
-                self._flush_run(ino, run, dones),
-                name=f"flushr:{ino}:{run.blocks[0]}+{len(run.blocks)}",
-            )
+            placed.append((nsd_id, phys, block))
+        if not placed:
+            return
+        for run in plan_transfers(placed, run_limit(self.fs, self.max_coalesce)):
+            self.sim.process(self._flush_run(inode, run), name="flush-run")
 
-    def _flush_run(self, ino: int, run: TransferRun, dones: Dict[int, Event]):
-        """Flush a planned run through one ``write_blocks`` RPC.
+    def _flush_run(self, inode: Inode, run: TransferRun):
+        """Write one planned run back through one RPC, holding one flush slot.
 
-        Holds one flush slot for the whole run (one RPC, one slot) and
-        re-checks dirtiness per block once the slot is granted — a block
-        cleaned in the meantime just drops out of the run.
+        Once the slot is granted each block is checked again: a block
+        cleaned in the meantime drops out (an emptied run sends nothing),
+        and the physical block is looked up afresh, in case a truncate
+        freed it and a later write allocated another.
         """
+        ino = inode.ino
         try:
             with self._flush_slots.request() as slot:
                 yield slot
-                items: List[Tuple[int, int, "bytes | int"]] = []
-                for phys, block in zip(run.phys, run.blocks):
+                extents: List[Tuple[int, int, "bytes | int"]] = []
+                for block in run.blocks:
                     entry = self.pool.peek(ino, block)
                     if entry is None or not entry.dirty:
                         continue
+                    phys = self.fs.ensure_block(inode, block)[1]
                     lo, hi = entry.dirty_lo, entry.dirty_hi
                     if entry.data is not None:
                         payload: "bytes | int" = entry.data[lo:hi]
@@ -750,52 +650,22 @@ class MountedFs:
                             payload = payload + b"\x00" * (hi - lo - len(payload))
                     else:
                         payload = hi - lo
-                    self.pool.mark_clean(ino, block)  # rewrites re-dirty
-                    items.append((phys, lo, payload))
-                if items:
+                    self.pool.mark_clean(ino, block)  # rewrites re-dirty and re-flush
+                    extents.append((phys, lo, payload))
+                if extents:
                     try:
-                        yield self.fs.service.write_blocks(
-                            self.node, run.nsd_id, items, tags=self.tags + ("write",)
-                        )
+                        yield self._write_run(inode, run, extents)
                     except OSError as exc:
                         self.flush_failures += 1
                         self._flush_errors.setdefault(ino, exc)
         finally:
             for block in run.blocks:
-                del self._flushing[(ino, block)]
-                dones[block].succeed()
-
-    def _flush_block(self, key: Tuple[int, int], done: Event):
-        ino, block = key
-        try:
-            with self._flush_slots.request() as slot:
-                yield slot
-                entry = self.pool.peek(ino, block)
-                if entry is None or not entry.dirty:
-                    return
-                inode = self.fs.inodes.get(ino)
-                nsd_id, phys = self.fs.ensure_block(inode, block)
-                lo, hi = entry.dirty_lo, entry.dirty_hi
-                if entry.data is not None:
-                    payload: "bytes | int" = entry.data[lo:hi]
-                    if len(payload) < hi - lo:
-                        payload = payload + b"\x00" * (hi - lo - len(payload))
-                else:
-                    payload = hi - lo
-                self.pool.mark_clean(ino, block)  # rewrites re-dirty and re-flush
-                try:
-                    yield self._remote_write_event(inode, block, nsd_id, phys, lo, payload)
-                except OSError as exc:
-                    self.flush_failures += 1
-                    self._flush_errors.setdefault(ino, exc)
-        finally:
-            del self._flushing[key]
-            done.succeed()
+                self._flushing.pop((ino, block)).succeed()
 
     def _fsync(self, ino: int):
         # Loop: new writes may dirty blocks while earlier flushes drain.
         while True:
-            self._kick_flushes(ino)
+            self._kick_flushes(ino, self.pool.dirty_blocks(ino))
             pending = [evt for key, evt in self._flushing.items() if key[0] == ino]
             if not pending:
                 break
@@ -815,12 +685,7 @@ class MountedFs:
     def _revoke_flush(self, ino: int, lo: int, hi: int):
         """Token revoke: flush dirty data in range, drop cached blocks."""
         blocks = self.pool.dirty_blocks(ino, lo, hi)
-        for block in blocks:
-            key = (ino, block)
-            if key not in self._flushing:
-                done = self.sim.event(name=f"rflush:{key}")
-                self._flushing[key] = done
-                self.sim.process(self._flush_block(key, done), name=f"rflushp:{key}")
+        self._kick_flushes(ino, blocks)
         pending = [
             evt
             for key, evt in self._flushing.items()

@@ -10,7 +10,10 @@ FC path to the bricks (HBA → controller → RAID) and its GbE/10GbE NIC is
 a link in the network graph, so server-side bottlenecks emerge from the
 topology rather than from tuning constants.
 
-:class:`NsdService` is the data-plane protocol:
+:class:`NsdService` is the data-plane protocol: one write RPC and one read
+RPC, each over a list of block extents on one NSD (``read_block`` and
+``write_block`` send a list of one, ``read_blocks`` and ``write_blocks`` a
+planned run):
 
 * write: client → server data flow, then the server's SAN write, then an
   ack message back;
@@ -219,14 +222,13 @@ class NsdServer:
         self.tags = tags  # e.g. the SCinet lane this server's NIC rides
         self.bytes_served = 0.0
 
-    def disk_io(self, sim: Simulation, nsd: Nsd, kind: str, nbytes: float,
-                sequential: bool = True) -> Event:
+    def disk_io(self, sim: Simulation, nsd: Nsd, kind: str, nbytes: float) -> Event:
         """The server-side SAN leg: HBA then LUN (skipped for diskless NSDs)."""
-        return sim.process(self._disk_io(sim, nsd, kind, nbytes, sequential),
+        return sim.process(self._disk_io(sim, nsd, kind, nbytes),
                            name=f"{self.name}-san-{kind}")
 
-    def _disk_io(self, sim: Simulation, nsd: Nsd, kind: str, nbytes: float,
-                 sequential: bool) -> Generator[Event, None, None]:
+    def _disk_io(self, sim: Simulation, nsd: Nsd, kind: str,
+                 nbytes: float) -> Generator[Event, None, None]:
         sid = TRACE.begin(
             sim, f"san.{kind}", cat="storage.san", lane=f"nsd:{self.name}",
             nsd=nsd.name, bytes=nbytes,
@@ -234,7 +236,7 @@ class NsdServer:
         if self.hba is not None:
             yield self.hba.transfer(nbytes)
         if nsd.lun is not None:
-            yield nsd.lun.io(kind, nbytes, sequential)
+            yield nsd.lun.io(kind, nbytes)
         else:
             yield sim.timeout(0.0)
         self.bytes_served += nbytes
@@ -319,15 +321,6 @@ class NsdService:
         #: just a data-path reroute, and is surfaced distinctly.
         self.manager_nodes: set[str] = set()
         self.manager_downs = 0
-        #: Opt-in per-client served-byte attribution (``{node: bytes}``).
-        #: The caching gateway turns this on so experiments can cross-check
-        #: origin traffic against the gateway's own counters; off by
-        #: default, so existing runs pay nothing.
-        self.track_client_bytes = False
-        self.client_bytes: Dict[str, float] = {}
-
-    def _account_client(self, node: str, nbytes: float) -> None:
-        self.client_bytes[node] = self.client_bytes.get(node, 0.0) + nbytes
 
     def attach_health(self, health) -> None:
         """RPCs to nodes that are down in ``health`` park until the lease
@@ -511,6 +504,13 @@ class NsdService:
         return result
 
     # -- block ops -----------------------------------------------------------
+    #
+    # One read RPC and one write RPC, each over a list of extents
+    # ``(phys, offset, length | data)`` on one NSD: ``read_block`` and
+    # ``write_block`` send a list of one. Whatever its length, an RPC pays
+    # one control message, one disk I/O, one pass through each crypto pipe
+    # and one engine transfer, all sized by the extents' combined length;
+    # stores, fetches, checksums and block counters stay per extent.
 
     def write_block(
         self,
@@ -519,96 +519,28 @@ class NsdService:
         phys: int,
         offset: int,
         data: bytes | int,
-        sequential: bool = True,
         tags: tuple[str, ...] = (),
     ) -> Event:
         """Write ``data`` (bytes, or a length for size-only mode) to a block."""
-        args = (client_node, nsd_id, phys, offset, data, sequential, tags)
-        gen = (
-            self._with_retry("write", args)
-            if self.retry is not None
-            else self._write(*args)
-        )
-        if OBS.enabled:
-            gen = self._obs_rpc("write", gen)
-        return self.sim.process(gen, name="nsd-write")
+        return self._rpc("write", (client_node, nsd_id, ((phys, offset, data),), tags))
 
-    def _write(self, client_node, nsd_id, phys, offset, data, sequential, tags):
-        nsd = self.nsds[nsd_id]
-        server = self.server_of(nsd_id)
-        parked = self._partition_wait(client_node, server.node)
-        if parked is not None:
-            yield from parked
-        guard = self._guard(server)
-        if guard is not None:
-            yield from guard
-        if isinstance(data, int):
-            length = data
-            payload: bytes | None = None
-        else:
-            length = len(data)
-            payload = data
-        # Tracing decision is taken once per RPC so begin/end always pair.
-        tr = TRACE if TRACE.enabled else None
-        lane = f"nsd:{server.name}"
-        rpc = tr.begin(
-            self.sim, "nsd.write_block", cat="nsd.rpc", lane=lane,
-            client=client_node, server=server.node, nsd=nsd_id, bytes=length,
-        ) if tr else 0
-        # 0. software crypto (per-node CPU stages) when the cluster pair
-        #    runs an encrypting cipherList
-        if self.crypto_resolver is not None:
-            for pipe in self.crypto_resolver(client_node, server.node):
-                sid = tr.begin(self.sim, "crypto", cat="nsd.crypto",
-                               lane=lane) if tr else 0
-                yield pipe.transfer(length)
-                if sid:
-                    tr.end(self.sim, sid)
-        # 1. data flow client → server
-        sid = tr.begin(self.sim, "net.data", cat="nsd.net", lane=lane,
-                       src=client_node, dst=server.node) if tr else 0
-        yield self.engine.transfer(
-            client_node,
-            server.node,
-            length,
-            tags=tuple(tags) + server.tags,
-            **self._pair_kwargs(client_node, server.node),
-        )
-        if sid:
-            tr.end(self.sim, sid)
-        guard = self._guard(server)
-        if guard is not None:
-            yield from guard
-        # 2. media write
-        sid = tr.begin(self.sim, "disk.service", cat="nsd.disk",
-                       lane=lane) if tr else 0
-        yield server.disk_io(self.sim, nsd, "write", length, sequential)
-        if sid:
-            tr.end(self.sim, sid)
-        # logical effect
-        if payload is not None:
-            nsd.store(phys, offset, payload)
-        else:
-            nsd._check_block(phys)
-            if offset == 0 and length == nsd.block_size:
-                nsd._poisoned.discard(phys)  # full overwrite heals injected rot
-            nsd.writes += 1  # size-only mode: count, no contents to keep
-        self.blocks_written += 1
-        guard = self._guard(server)
-        if guard is not None:
-            yield from guard
-        # 3. ack back to client
-        sid = tr.begin(self.sim, "net.ack", cat="nsd.net", lane=lane) if tr else 0
-        yield self.messages.send(server.node, client_node, nbytes=self.CONTROL_BYTES)
-        if sid:
-            tr.end(self.sim, sid)
-        if rpc:
-            tr.end(self.sim, rpc)
-        if self.track_client_bytes:
-            self._account_client(client_node, length)
-        if OBS.enabled:
-            OBS.inc("nsd.server.bytes", length, server=server.node, dir="in")
-        return length
+    def write_blocks(
+        self,
+        client_node: str,
+        nsd_id: int,
+        items,
+        tags: tuple[str, ...] = (),
+    ) -> Event:
+        """Scatter-gather write of several blocks of one NSD in one RPC.
+
+        ``items`` is ``[(phys, offset, data_or_len), ...]`` — typically a
+        run of contiguous physical blocks planned by
+        :func:`repro.core.client.plan_transfers`. The event's value is the
+        total byte count.
+        """
+        if not items:
+            raise ValueError("write_blocks needs at least one (phys, offset, data)")
+        return self._rpc("write", (client_node, nsd_id, items, tags))
 
     def read_block(
         self,
@@ -617,7 +549,6 @@ class NsdService:
         phys: int,
         offset: int,
         length: int,
-        sequential: bool = True,
         tags: tuple[str, ...] = (),
         verify: bool = False,
     ) -> Event:
@@ -630,135 +561,43 @@ class NsdService:
         """
         if verify and (offset != 0 or length != self.nsds[nsd_id].block_size):
             raise ValueError("verified reads must cover the whole block")
-        args = (client_node, nsd_id, phys, offset, length, sequential, tags, verify)
-        gen = (
-            self._with_retry("read", args)
-            if self.retry is not None
-            else self._read(*args)
+        return self._rpc(
+            "read", (client_node, nsd_id, ((phys, offset, length),), tags, verify, True)
         )
-        if OBS.enabled:
-            gen = self._obs_rpc("read", gen)
-        return self.sim.process(gen, name="nsd-read")
 
-    def _read(self, client_node, nsd_id, phys, offset, length, sequential, tags,
-              verify=False):
-        nsd = self.nsds[nsd_id]
-        server = self.server_of(nsd_id)
-        parked = self._partition_wait(client_node, server.node)
-        if parked is not None:
-            yield from parked
-        guard = self._guard(server)
-        if guard is not None:
-            yield from guard
-        tr = TRACE if TRACE.enabled else None
-        lane = f"nsd:{server.name}"
-        rpc = tr.begin(
-            self.sim, "nsd.read_block", cat="nsd.rpc", lane=lane,
-            client=client_node, server=server.node, nsd=nsd_id, bytes=length,
-        ) if tr else 0
-        # 1. request message client → server
-        sid = tr.begin(self.sim, "net.request", cat="nsd.net", lane=lane) if tr else 0
-        yield self.messages.send(client_node, server.node, nbytes=self.CONTROL_BYTES)
-        if sid:
-            tr.end(self.sim, sid)
-        guard = self._guard(server)
-        if guard is not None:
-            yield from guard
-        # 2. media read
-        sid = tr.begin(self.sim, "disk.service", cat="nsd.disk",
-                       lane=lane) if tr else 0
-        yield server.disk_io(self.sim, nsd, "read", length, sequential)
-        if sid:
-            tr.end(self.sim, sid)
-        data = nsd.fetch(phys, offset, length)
-        guard = self._guard(server)
-        if guard is not None:
-            yield from guard
-        # 2b. software crypto stages (encrypt at the server, decrypt at the
-        #     client — each node's CPU is a shared pipe)
-        if self.crypto_resolver is not None:
-            for pipe in self.crypto_resolver(server.node, client_node):
-                sid = tr.begin(self.sim, "crypto", cat="nsd.crypto",
-                               lane=lane) if tr else 0
-                yield pipe.transfer(length)
-                if sid:
-                    tr.end(self.sim, sid)
-        # 3. data flow server → client
-        sid = tr.begin(self.sim, "net.data", cat="nsd.net", lane=lane,
-                       src=server.node, dst=client_node) if tr else 0
-        yield self.engine.transfer(
-            server.node,
-            client_node,
-            length,
-            tags=tuple(tags) + server.tags,
-            **self._pair_kwargs(server.node, client_node),
-        )
-        if sid:
-            tr.end(self.sim, sid)
-        if rpc:
-            tr.end(self.sim, rpc)
-        self.blocks_read += 1
-        if self.track_client_bytes:
-            self._account_client(client_node, length)
-        if OBS.enabled:
-            OBS.inc("nsd.server.bytes", length, server=server.node, dir="out")
-        # 4. end-to-end verification at the client, over the bytes that
-        #    actually crossed the network (zero sim-time: CPU cost of a
-        #    CRC is negligible next to a WAN block transfer).
-        if verify:
-            self.checksum_verifications += 1
-            if not nsd.verify_full(phys, data if nsd.store_data else None):
-                self.checksum_failures += 1
-                if tr:
-                    tr.instant(
-                        self.sim, "nsd.checksum_mismatch", cat="fault.integrity",
-                        lane=lane, nsd=nsd_id, phys=phys, client=client_node,
-                    )
-                raise ChecksumError(
-                    f"block {phys} on {nsd.name} failed end-to-end verification"
-                )
-        return data
-
-    # -- coalesced multi-block ops --------------------------------------------
-
-    def write_blocks(
+    def read_blocks(
         self,
         client_node: str,
         nsd_id: int,
-        items,
-        sequential: bool = True,
+        phys_list,
         tags: tuple[str, ...] = (),
+        verify: bool = False,
     ) -> Event:
-        """Scatter-gather write of several blocks of one NSD in one RPC.
+        """Scatter-gather full-block read of one NSD in one RPC.
 
-        ``items`` is ``[(phys, offset, data_or_len), ...]`` — typically a
-        run of contiguous physical blocks planned by
-        :func:`repro.core.client.plan_transfers`. The run shares one
-        control round trip, one engine transfer of the combined length,
-        and one aggregated sequential disk I/O; the logical effect
-        (per-block store, rot healing, write counts) is applied per block,
-        identical to ``len(items)`` separate :meth:`write_block` calls.
-        The event's value is the total byte count.
+        ``phys_list`` is a run of physical block numbers (contiguous for
+        the aggregated-seek benefit, though any list works). With
+        ``verify=True`` every block is checked end to end. The event's
+        value is ``[bytes, ...]`` in ``phys_list`` order.
         """
-        items = tuple(items)
-        if not items:
-            raise ValueError("write_blocks needs at least one (phys, offset, data)")
-        if len(items) == 1:
-            phys, offset, data = items[0]
-            return self.write_block(
-                client_node, nsd_id, phys, offset, data, sequential, tags
-            )
-        args = (client_node, nsd_id, items, sequential, tags)
-        gen = (
-            self._with_retry("write_multi", args)
-            if self.retry is not None
-            else self._write_multi(*args)
-        )
-        if OBS.enabled:
-            gen = self._obs_rpc("write_blocks", gen)
-        return self.sim.process(gen, name="nsd-writem")
+        bs = int(self.nsds[nsd_id].block_size)
+        extents = [(phys, 0, bs) for phys in phys_list]
+        if not extents:
+            raise ValueError("read_blocks needs at least one physical block")
+        return self._rpc("read", (client_node, nsd_id, extents, tags, verify, False))
 
-    def _write_multi(self, client_node, nsd_id, items, sequential, tags):
+    def _rpc(self, kind: str, args: tuple) -> Event:
+        """Issue one ``_read``/``_write`` RPC as a process (with retry and
+        telemetry when armed)."""
+        if self.retry is not None:
+            gen = self._with_retry(kind, args)
+        else:
+            gen = self._read(*args) if kind == "read" else self._write(*args)
+        if OBS.enabled:
+            gen = self._obs_rpc(kind, gen)
+        return self.sim.process(gen, name="nsd-" + kind)
+
+    def _write(self, client_node, nsd_id, extents, tags):
         nsd = self.nsds[nsd_id]
         server = self.server_of(nsd_id)
         parked = self._partition_wait(client_node, server.node)
@@ -767,18 +606,23 @@ class NsdService:
         guard = self._guard(server)
         if guard is not None:
             yield from guard
-        lengths = [d if isinstance(d, int) else len(d) for _, _, d in items]
-        total = sum(lengths)
-        if PROFILE.enabled:
+        total = 0
+        for _phys, _offset, data in extents:
+            total += data if isinstance(data, int) else len(data)
+        blocks = len(extents)
+        if PROFILE.enabled and blocks > 1:
             PROFILE.count("nsd.coalesced_rpcs")
-            PROFILE.count("nsd.coalesced_blocks", len(items))
+            PROFILE.count("nsd.coalesced_blocks", blocks)
+        # Tracing decision is taken once per RPC so begin/end always pair.
         tr = TRACE if TRACE.enabled else None
-        lane = f"nsd:{server.name}"
+        lane = f"nsd:{server.name}" if tr else ""
         rpc = tr.begin(
-            self.sim, "nsd.write_blocks", cat="nsd.rpc", lane=lane,
+            self.sim, "nsd.write", cat="nsd.rpc", lane=lane,
             client=client_node, server=server.node, nsd=nsd_id,
-            bytes=total, blocks=len(items),
+            bytes=total, blocks=blocks,
         ) if tr else 0
+        # 0. software crypto (per-node CPU stages) when the cluster pair
+        #    runs an encrypting cipherList
         if self.crypto_resolver is not None:
             for pipe in self.crypto_resolver(client_node, server.node):
                 sid = tr.begin(self.sim, "crypto", cat="nsd.crypto",
@@ -786,7 +630,7 @@ class NsdService:
                 yield pipe.transfer(total)
                 if sid:
                     tr.end(self.sim, sid)
-        # 1. one data flow client → server for the whole run
+        # 1. data flow client → server
         sid = tr.begin(self.sim, "net.data", cat="nsd.net", lane=lane,
                        src=client_node, dst=server.node) if tr else 0
         yield self.engine.transfer(
@@ -801,74 +645,40 @@ class NsdService:
         guard = self._guard(server)
         if guard is not None:
             yield from guard
-        # 2. one aggregated sequential media write
+        # 2. media write
         sid = tr.begin(self.sim, "disk.service", cat="nsd.disk",
                        lane=lane) if tr else 0
-        yield server.disk_io(self.sim, nsd, "write", total, sequential)
+        yield server.disk_io(self.sim, nsd, "write", total)
         if sid:
             tr.end(self.sim, sid)
-        # logical effect, per block — identical to the per-RPC path
-        for (phys, offset, data), length in zip(items, lengths):
+        # logical effect, per block
+        for phys, offset, data in extents:
             if isinstance(data, int):
                 nsd._check_block(phys)
-                if offset == 0 and length == nsd.block_size:
-                    nsd._poisoned.discard(phys)
-                nsd.writes += 1
+                if offset == 0 and data == nsd.block_size:
+                    nsd._poisoned.discard(phys)  # full overwrite heals injected rot
+                nsd.writes += 1  # size-only mode: count, no contents to keep
             else:
                 nsd.store(phys, offset, data)
-            self.blocks_written += 1
+        self.blocks_written += blocks
         guard = self._guard(server)
         if guard is not None:
             yield from guard
-        # 3. one ack back to the client
+        # 3. ack back to client
         sid = tr.begin(self.sim, "net.ack", cat="nsd.net", lane=lane) if tr else 0
         yield self.messages.send(server.node, client_node, nbytes=self.CONTROL_BYTES)
         if sid:
             tr.end(self.sim, sid)
         if rpc:
             tr.end(self.sim, rpc)
-        if self.track_client_bytes:
-            self._account_client(client_node, total)
         if OBS.enabled:
             OBS.inc("nsd.server.bytes", total, server=server.node, dir="in")
         return total
 
-    def read_blocks(
-        self,
-        client_node: str,
-        nsd_id: int,
-        phys_list,
-        sequential: bool = True,
-        tags: tuple[str, ...] = (),
-        verify: bool = False,
-    ) -> Event:
-        """Scatter-gather full-block read of one NSD in one RPC.
-
-        ``phys_list`` is a run of physical block numbers (contiguous for
-        the aggregated-seek benefit, though any list works). One control
-        round trip, one aggregated disk read, one engine transfer of the
-        combined length; fetch and (with ``verify=True``) end-to-end
-        checksum verification happen per block, identical to separate
-        :meth:`read_block` calls. The event's value is ``[bytes, ...]`` in
-        ``phys_list`` order.
-        """
-        phys_list = tuple(phys_list)
-        if not phys_list:
-            raise ValueError("read_blocks needs at least one physical block")
-        args = (client_node, nsd_id, phys_list, sequential, tags, verify)
-        gen = (
-            self._with_retry("read_multi", args)
-            if self.retry is not None
-            else self._read_multi(*args)
-        )
-        if OBS.enabled:
-            gen = self._obs_rpc("read_blocks", gen)
-        return self.sim.process(gen, name="nsd-readm")
-
-    def _read_multi(self, client_node, nsd_id, phys_list, sequential, tags,
-                    verify=False):
+    def _read(self, client_node, nsd_id, extents, tags, verify, one):
+        """The read RPC; returns the bytes of each extent, or of the only
+        extent when ``one`` (``read_block``)."""
         nsd = self.nsds[nsd_id]
-        bs = nsd.block_size
         server = self.server_of(nsd_id)
         parked = self._partition_wait(client_node, server.node)
         if parked is not None:
@@ -876,18 +686,21 @@ class NsdService:
         guard = self._guard(server)
         if guard is not None:
             yield from guard
-        total = bs * len(phys_list)
-        if PROFILE.enabled:
+        total = 0
+        for _phys, _offset, length in extents:
+            total += length
+        blocks = len(extents)
+        if PROFILE.enabled and blocks > 1:
             PROFILE.count("nsd.coalesced_rpcs")
-            PROFILE.count("nsd.coalesced_blocks", len(phys_list))
+            PROFILE.count("nsd.coalesced_blocks", blocks)
         tr = TRACE if TRACE.enabled else None
-        lane = f"nsd:{server.name}"
+        lane = f"nsd:{server.name}" if tr else ""
         rpc = tr.begin(
-            self.sim, "nsd.read_blocks", cat="nsd.rpc", lane=lane,
+            self.sim, "nsd.read", cat="nsd.rpc", lane=lane,
             client=client_node, server=server.node, nsd=nsd_id,
-            bytes=total, blocks=len(phys_list),
+            bytes=total, blocks=blocks,
         ) if tr else 0
-        # 1. one request message client → server
+        # 1. request message client → server
         sid = tr.begin(self.sim, "net.request", cat="nsd.net", lane=lane) if tr else 0
         yield self.messages.send(client_node, server.node, nbytes=self.CONTROL_BYTES)
         if sid:
@@ -895,16 +708,18 @@ class NsdService:
         guard = self._guard(server)
         if guard is not None:
             yield from guard
-        # 2. one aggregated sequential media read
+        # 2. media read
         sid = tr.begin(self.sim, "disk.service", cat="nsd.disk",
                        lane=lane) if tr else 0
-        yield server.disk_io(self.sim, nsd, "read", total, sequential)
+        yield server.disk_io(self.sim, nsd, "read", total)
         if sid:
             tr.end(self.sim, sid)
-        datas = [nsd.fetch(phys, 0, bs) for phys in phys_list]
+        datas = [nsd.fetch(phys, offset, length) for phys, offset, length in extents]
         guard = self._guard(server)
         if guard is not None:
             yield from guard
+        # 2b. software crypto stages (encrypt at the server, decrypt at the
+        #     client — each node's CPU is a shared pipe)
         if self.crypto_resolver is not None:
             for pipe in self.crypto_resolver(server.node, client_node):
                 sid = tr.begin(self.sim, "crypto", cat="nsd.crypto",
@@ -912,7 +727,7 @@ class NsdService:
                 yield pipe.transfer(total)
                 if sid:
                     tr.end(self.sim, sid)
-        # 3. one data flow server → client for the whole run
+        # 3. data flow server → client
         sid = tr.begin(self.sim, "net.data", cat="nsd.net", lane=lane,
                        src=server.node, dst=client_node) if tr else 0
         yield self.engine.transfer(
@@ -926,14 +741,14 @@ class NsdService:
             tr.end(self.sim, sid)
         if rpc:
             tr.end(self.sim, rpc)
-        self.blocks_read += len(phys_list)
-        if self.track_client_bytes:
-            self._account_client(client_node, total)
+        self.blocks_read += blocks
         if OBS.enabled:
             OBS.inc("nsd.server.bytes", total, server=server.node, dir="out")
-        # 4. per-block end-to-end verification at the client
+        # 4. end-to-end verification at the client, per block, over the
+        #    bytes that actually crossed the network (zero sim-time: CPU
+        #    cost of a CRC is negligible next to a WAN block transfer).
         if verify:
-            for phys, data in zip(phys_list, datas):
+            for (phys, _offset, _length), data in zip(extents, datas):
                 self.checksum_verifications += 1
                 if not nsd.verify_full(phys, data if nsd.store_data else None):
                     self.checksum_failures += 1
@@ -946,12 +761,13 @@ class NsdService:
                     raise ChecksumError(
                         f"block {phys} on {nsd.name} failed end-to-end verification"
                     )
-        return datas
+        return datas[0] if one else datas
 
     # -- retry ----------------------------------------------------------------
 
     def _with_retry(self, kind, args):
-        """One block RPC with per-attempt timeout, backoff, and failover.
+        """One block RPC (``kind`` "read" or "write") with per-attempt
+        timeout, backoff, and failover.
 
         Each attempt races the RPC against ``retry.rpc_timeout``. An
         attempt that raises :class:`NsdServerDown` (crashed server, lease

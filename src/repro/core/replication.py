@@ -14,10 +14,14 @@ copy. This module is the client-side data path for that:
   loss *or* checksum mismatch. A mismatch also triggers **read-repair**:
   the good bytes the reader already holds are rewritten over the rotten
   replica in the background.
+* :func:`run_limit`, :func:`read_run` and :func:`write_run` choose the
+  data path of a planned block run, for the client and the caching
+  gateway alike: a replicated filesystem moves one-block runs through
+  the :class:`ReplicaManager`, any other moves a run in one NSD RPC.
 
 With ``copies=1`` and ``verify_reads=False`` the policy is *inactive*
-and the client uses the exact legacy single-replica path — nominal runs
-stay bit-identical (the empty-schedule invariance tests pin this down).
+and runs take the direct single-replica path — nominal runs stay
+bit-identical (the empty-schedule invariance tests pin this down).
 """
 
 from __future__ import annotations
@@ -100,7 +104,6 @@ class ReplicaManager:
         placements: Sequence[Placement],
         offset: int,
         data: "bytes | int",
-        sequential: bool = True,
         tags: Tuple[str, ...] = (),
     ) -> Event:
         """Write ``data`` to every replica; fires at the ack quorum.
@@ -121,8 +124,7 @@ class ReplicaManager:
         def _one(nsd_id: int, phys: int):
             try:
                 yield self.fs.service.write_block(
-                    client_node, nsd_id, phys, offset, data,
-                    sequential=sequential, tags=tags,
+                    client_node, nsd_id, phys, offset, data, tags=tags
                 )
             except (ConnectionError, ChecksumError):
                 state["fails"] += 1
@@ -158,7 +160,6 @@ class ReplicaManager:
         self,
         client_node: str,
         placements: Sequence[Placement],
-        sequential: bool = True,
         tags: Tuple[str, ...] = (),
     ) -> Event:
         """Read one full block from the cheapest live replica.
@@ -170,7 +171,7 @@ class ReplicaManager:
         read-repair using the verified data already in hand.
         """
         return self.sim.process(
-            self._read(client_node, list(placements), sequential, tuple(tags)),
+            self._read(client_node, list(placements), tuple(tags)),
             name="replica-read",
         )
 
@@ -184,9 +185,9 @@ class ReplicaManager:
         Fault-free fast path: with no down nodes and no suspect NSDs every
         penalty is zero, and a stable sort of all-zero penalties is the
         input order — skip the sort entirely. (Hot: replicated reads call
-        this once per block; client-side transfer coalescing falls back to
-        per-block RPCs whenever replication is active, precisely so this
-        per-replica ordering and fan-out stay intact.)
+        this once per block — :func:`run_limit` keeps replicated runs to
+        one block, precisely so this per-replica ordering and fan-out stay
+        intact.)
         """
         service = self.fs.service
         if not service.down_nodes and not self.suspect_nsds:
@@ -205,7 +206,7 @@ class ReplicaManager:
         ranked = sorted(enumerate(placements), key=cost)
         return [placement for _, placement in ranked]
 
-    def _read(self, client_node, placements, sequential, tags):
+    def _read(self, client_node, placements, tags):
         bs = self.fs.block_size
         bad: List[Placement] = []
         last: BaseException | None = None
@@ -215,8 +216,7 @@ class ReplicaManager:
             try:
                 data = yield self.fs.service.read_block(
                     client_node, nsd_id, phys, 0, bs,
-                    sequential=sequential, tags=tags,
-                    verify=self.policy.verify_reads,
+                    tags=tags, verify=self.policy.verify_reads,
                 )
             except ChecksumError as exc:
                 self.corrupt_reads_detected += 1
@@ -264,8 +264,7 @@ class ReplicaManager:
         def _proc():
             try:
                 yield self.fs.service.write_block(
-                    writer_node, nsd_id, phys, 0, data,
-                    sequential=True, tags=tags + ("repair",),
+                    writer_node, nsd_id, phys, 0, data, tags=tags + ("repair",)
                 )
             except (ConnectionError, ChecksumError):
                 self.replica_write_failures += 1
@@ -288,3 +287,44 @@ class ReplicaManager:
             "degraded_reads": float(self.degraded_reads),
             "quorum_failures": float(self.quorum_failures),
         }
+
+
+# -- the data path of one planned run --------------------------------------
+
+
+def run_limit(fs, max_coalesce: int) -> int:
+    """Most blocks a planned run may hold on ``fs``.
+
+    A replicated filesystem keeps runs to one block: each block fans out
+    to its own replica set (quorum writes, cheapest-replica reads).
+    """
+    return 1 if fs.replication.active else max_coalesce
+
+
+def read_run(fs, node: str, ino: int, block: int, nsd_id: int, phys, tags):
+    """Read one planned run for ``node``; ``yield from`` it in a process.
+
+    ``phys`` lists the run's physical blocks on NSD ``nsd_id``; logical
+    block ``block`` of inode ``ino`` is the first of them. Returns the
+    blocks' bytes in run order. A replicated filesystem reads its
+    one-block runs through the :class:`ReplicaManager`; any other reads a
+    run in one NSD RPC. ``yield from`` adds no events.
+    """
+    if fs.replication.active:
+        placements = fs.replica_placements(fs.inodes.get(ino), block)
+        return [(yield fs.integrity.read_block(node, placements, tags=tags))]
+    return (yield fs.service.read_blocks(node, nsd_id, phys, tags=tags))
+
+
+def write_run(fs, node: str, ino: int, block: int, nsd_id: int, extents,
+              tags) -> Event:
+    """Write one planned run of ``(phys, offset, data)`` extents for ``node``.
+
+    Arguments as for :func:`read_run`. The event fires at the ack: on a
+    replicated filesystem, at the ack quorum of the run's one block.
+    """
+    if fs.replication.active:
+        ((_phys, offset, data),) = extents
+        placements = fs.replica_placements(fs.inodes.get(ino), block)
+        return fs.integrity.write_block(node, placements, offset, data, tags=tags)
+    return fs.service.write_blocks(node, nsd_id, extents, tags=tags)

@@ -15,7 +15,14 @@ Naming conventions (the families ``repro health`` rolls up live in
 * ``nsd.*{fs=...}`` — service counters; RPC latency histograms are
   recorded inline by the service (``nsd.rpc.latency{op=...}``);
 * ``scrub.*{fs=...}`` / ``tokens.*{fs=...}`` / ``hsm.*{fs=...}``;
+* ``client.pagepool.*{client=...}`` / ``cache.*{gw=...}`` /
+  ``gateway.*{gw=...}``;
 * ``faults.*`` — detections, recoveries (latency histograms inline).
+
+Every per-object family also carries the ``sim=<pid>`` label of the
+universe it lives in, so two universes in one process (a sweep that
+builds one scenario per point) may reuse filesystem, client and gateway
+names without colliding in the registry.
 """
 
 from __future__ import annotations
@@ -95,7 +102,7 @@ def attach_gfs(gfs, interval: float = None) -> None:
 
 def attach_service(service, fs: str = "") -> None:
     """Wire an :class:`~repro.core.nsd.NsdService`'s counters."""
-    labels = {"fs": fs} if fs else {}
+    labels = {"sim": str(_pid(service.sim)), **({"fs": fs} if fs else {})}
     for family, attr in (
         ("nsd.blocks_read", "blocks_read"),
         ("nsd.blocks_written", "blocks_written"),
@@ -129,7 +136,7 @@ def attach_service(service, fs: str = "") -> None:
 def attach_filesystem(fs) -> None:
     """Wire a filesystem's token manager (labels by device name)."""
     tm = fs.token_manager
-    labels = {"fs": fs.name}
+    labels = {"sim": str(_pid(fs.sim)), "fs": fs.name}
     for family, attr in (
         ("tokens.grants", "grants"),
         ("tokens.revokes", "revokes"),
@@ -145,7 +152,7 @@ def attach_filesystem(fs) -> None:
 
 
 def attach_scrubber(scrubber) -> None:
-    labels = {"fs": scrubber.fs.name}
+    labels = {"sim": str(_pid(scrubber.fs.sim)), "fs": scrubber.fs.name}
     for family, attr in (
         ("scrub.sweeps", "sweeps"),
         ("scrub.blocks_scanned", "blocks_scanned"),
@@ -163,7 +170,7 @@ def attach_scrubber(scrubber) -> None:
 
 
 def attach_hsm(manager) -> None:
-    labels = {"fs": manager.fs.name}
+    labels = {"sim": str(_pid(manager.fs.sim)), "fs": manager.fs.name}
     for family, attr in (
         ("hsm.migrated_files", "migrated_files"),
         ("hsm.recalled_files", "recalled_files"),
@@ -186,6 +193,7 @@ def attach_pagepool(mount) -> None:
     collides on the registry's duplicate-key check.
     """
     labels = {
+        "sim": str(_pid(mount.sim)),
         "client": mount.node,
         "fs": mount.fs.name,
         "m": str(len(mount.fs.mounts)),
@@ -222,7 +230,9 @@ def attach_gateway(gateway) -> None:
     read/write paths; the callbacks here expose the running totals and
     derived gauges (hit ratio, origin offload).
     """
-    labels = {"gw": gateway.name, "fs": gateway.fs.name}
+    labels = {
+        "sim": str(_pid(gateway.sim)), "gw": gateway.name, "fs": gateway.fs.name
+    }
     cache = gateway.cache
     for family, attr in (
         ("cache.hits", "hits"),

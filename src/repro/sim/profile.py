@@ -36,10 +36,10 @@ Counter namespaces in use:
   flow resolved by the closed-form shortcut (no matrix work);
 * ``fairshare.matrix_growths`` / ``fairshare.partition_rebuilds`` —
   incidence-state maintenance events;
-* ``nsd.coalesced_rpcs`` / ``nsd.coalesced_blocks`` — scatter-gather
-  multi-block RPCs issued and the blocks they carried; their ratio is
-  the realized coalescing factor (zero unless a mount sets
-  ``max_coalesce > 1``).
+* ``nsd.coalesced_rpcs`` / ``nsd.coalesced_blocks`` — block RPCs of
+  more than one block and the blocks they carried; their ratio is the
+  realized coalescing factor (zero unless a mount sets
+  ``max_coalesce > 1`` or a caching gateway batches misses).
 """
 
 from __future__ import annotations

@@ -32,12 +32,11 @@ when disabled, so instrumentation lives permanently in the data path::
 ``python -m repro trace E8 --out t.json`` and
 ``python -m repro report --trace-dir DIR`` wrap whole experiments this way.
 
-Span names follow the instrumented layer: the NSD service emits
-``nsd.write_block``/``nsd.read_block`` per single-block RPC and — on mounts that
-coalesce (``max_coalesce > 1``) — ``nsd.write_blocks``/``nsd.read_blocks``
-per scatter-gather run, carrying a ``blocks=<n>`` attribute so a trace
-shows both the RPC count collapse and how many logical blocks each
-coalesced round trip moved.
+Span names follow the instrumented layer: the NSD service emits one
+``nsd.write``/``nsd.read`` span per RPC, whether it carries one block or
+a coalesced run (``max_coalesce > 1``), with a ``blocks=<n>`` attribute
+so a trace shows both the RPC count and how many logical blocks each
+round trip moved.
 
 Timestamps are simulation seconds; the Chrome exporter scales to the
 microseconds the trace-event format expects. Several simulations may run

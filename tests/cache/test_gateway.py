@@ -9,6 +9,7 @@ import pytest
 
 from repro.cache import CacheGateway, GatewayBlockCache, GatewayMount
 from repro.core.multicluster import MountAuthError
+from repro.core.replication import ReplicationPolicy
 from repro.core.tokens import RW
 from repro.faults.partition import PartitionState
 from repro.util.units import Gbps
@@ -23,10 +24,11 @@ def gateway_gfs(
     wan_delay=0.015,
     lease_duration=30.0,
     gw_nodes=1,
+    replication=None,
     **gw_kwargs,
 ):
     """wan_gfs plus a gateway cluster at the ncsa edge."""
-    g, sdsc, ncsa, fs = wan_gfs(wan_delay=wan_delay)
+    g, sdsc, ncsa, fs = wan_gfs(wan_delay=wan_delay, replication=replication)
     names = [f"gw{i}" for i in range(gw_nodes)]
     for name in names:
         g.network.add_host(name, "ncsa-sw", Gbps(1), site="ncsa")
@@ -211,6 +213,55 @@ class TestWritePath:
         assert gw.writes_flushed == flushed_before + 1
         m_home = g.run(until=sdsc.mmmount("gpfs-sdsc", "s3"))
         assert read_all(g, m_home, "/f", len(new_payload)) == new_payload
+
+
+class TestReplicatedHome:
+    """A home filesystem with two copies of every block: the gateway's
+    misses and home writes take the replicated path, like a direct mount."""
+
+    @pytest.mark.parametrize("mode", ["writeback", "writethrough"])
+    def test_every_copy_lands(self, mode):
+        g, sdsc, ncsa, fs, gw = gateway_gfs(
+            mode=mode,
+            replication=ReplicationPolicy(copies=2, verify_reads=True),
+        )
+        bs = fs.block_size
+        payload = patterned(3 * bs, seed=21)
+        home_write(g, sdsc, "/dataset", payload)
+        # Rot on block 0's primary: only the replicated read path
+        # (verify, fail over, repair) serves the miss correctly.
+        inode = fs.namespace.resolve("/dataset")
+        nsd_id, phys = fs.lookup_block(inode, 0)
+        fs.nsds[nsd_id].corrupt(phys)
+        m = edge_mount(g, ncsa, gw)
+        assert read_all(g, m, "/dataset", len(payload)) == payload
+        assert gw.origin_bytes == 3 * bs
+        assert fs.integrity.corrupt_reads_detected == 1
+
+        out = patterned(2 * bs, seed=22)
+
+        def io():
+            h = yield m.open("/out", "w", create=True)
+            yield m.write(h, out)
+            yield m.fsync(h)
+            # Past the fsync barrier, home holds both copies of each block.
+            ino = fs.namespace.resolve("/out")
+            at_barrier = [
+                [fs.nsds[n].fetch(p, 0, bs) for n, p in fs.replica_placements(ino, b)]
+                for b in range(2)
+            ]
+            yield m.close(h)
+            yield g.sim.timeout(1.0)  # let the background read-repair land
+            return at_barrier
+
+        at_barrier = run_io(g, io())
+        assert at_barrier == [[out[:bs]] * 2, [out[bs:]] * 2]
+        if mode == "writeback":
+            assert gw.writes_flushed == 2
+        else:
+            assert gw.writes_through == 2
+        assert fs.integrity.read_repairs == 1
+        assert fs.nsds[nsd_id].verify_full(phys)
 
 
 class TestLeases:

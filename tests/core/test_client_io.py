@@ -12,6 +12,9 @@ from tests.core.testbed import mounted, run_io, small_gfs
 
 @pytest.fixture()
 def bed():
+    """A cluster and a mount on c0. Tests mount more nodes with the same
+    ``max_coalesce``, so ``test_client_io_coalesced.py`` can run every
+    test here again on coalesced runs by overriding this fixture."""
     g, cluster, fs, clients = small_gfs()
     m = mounted(g, cluster, node="c0")
     return g, cluster, fs, m
@@ -96,7 +99,7 @@ class TestRoundtrip:
 
         run_io(g, write_io())
         # second client with a cold cache partially overwrites the block
-        m2 = mounted(g, cluster, node="c1")
+        m2 = mounted(g, cluster, node="c1", max_coalesce=m.max_coalesce)
 
         def rmw_io():
             h = yield m2.open("/f", "r+")
@@ -121,6 +124,32 @@ class TestRoundtrip:
         data = run_io(g, io())
         assert data[: 2 * fs.block_size] == bytes(2 * fs.block_size)
         assert data[-3:] == b"end"
+
+    def test_runs_of_several_blocks_per_server(self, bed):
+        # 18 blocks over 4 NSDs put 4-5 blocks on each server, so a
+        # coalesced mount moves multi-block runs both ways. Block 8 stays
+        # a hole, and the unaligned overwrite of a cold block takes the
+        # read-modify-write fetch.
+        g, _, fs, m = bed
+        bs = fs.block_size
+        head = patterned(8 * bs, seed=3)
+        tail = patterned(9 * bs + 100, seed=4)
+
+        def io():
+            h = yield m.open("/many", "w", create=True)
+            yield m.pwrite(h, 0, head)
+            yield m.pwrite(h, 9 * bs, tail)
+            yield m.fsync(h)
+            m.pool.invalidate(h.inode.ino)
+            yield m.pwrite(h, 5 * bs + 7, b"X" * 10)
+            yield m.close(h)
+            m.pool.invalidate(h.inode.ino)
+            h = yield m.open("/many", "r")
+            return (yield m.read(h, 18 * bs + 100))
+
+        want = bytearray(head + bytes(bs) + tail)
+        want[5 * bs + 7 : 5 * bs + 17] = b"X" * 10
+        assert run_io(g, io()) == bytes(want)
 
     def test_read_past_eof_short(self, bed):
         g, _, _, m = bed
@@ -234,7 +263,7 @@ class TestDurabilityAndCache:
 class TestCrossClientCoherence:
     def test_reader_sees_writer_update(self, bed):
         g, cluster, fs, m_writer = bed
-        m_reader = mounted(g, cluster, node="c1")
+        m_reader = mounted(g, cluster, node="c1", max_coalesce=m_writer.max_coalesce)
         payload1 = patterned(fs.block_size, seed=1)
         payload2 = patterned(fs.block_size, seed=2)
 
@@ -259,7 +288,7 @@ class TestCrossClientCoherence:
 
     def test_write_write_last_writer_wins(self, bed):
         g, cluster, fs, m0 = bed
-        m1 = mounted(g, cluster, node="c1")
+        m1 = mounted(g, cluster, node="c1", max_coalesce=m0.max_coalesce)
 
         def io():
             h0 = yield m0.open("/f", "w", create=True)
@@ -277,7 +306,7 @@ class TestCrossClientCoherence:
 class TestPermissions:
     def test_ro_mount_cannot_write(self, bed):
         g, cluster, fs, m = bed
-        m_ro = mounted(g, cluster, node="c1", access="ro")
+        m_ro = mounted(g, cluster, node="c1", access="ro", max_coalesce=m.max_coalesce)
 
         def create_io():
             h = yield m.open("/f", "w", create=True)
@@ -303,7 +332,7 @@ class TestPermissions:
             yield m.close(h)
 
         run_io(g, create_io())
-        m_ro = mounted(g, cluster, node="c1", access="ro")
+        m_ro = mounted(g, cluster, node="c1", access="ro", max_coalesce=m.max_coalesce)
 
         def ro_io():
             h = yield m_ro.open("/f", "r")
@@ -315,7 +344,9 @@ class TestPermissions:
         g, cluster, fs, m = bed
         alice = Identity(uid=500, username="alice")
         bob = Identity(uid=501, username="bob")
-        m_alice = mounted(g, cluster, node="c1", identity=alice)
+        m_alice = mounted(
+            g, cluster, node="c1", identity=alice, max_coalesce=m.max_coalesce
+        )
 
         def create_io():
             h = yield m_alice.open("/private", "w", create=True)
@@ -324,7 +355,9 @@ class TestPermissions:
 
         run_io(g, create_io())
         fs.namespace.resolve("/private").mode = 0o600
-        m_bob = mounted(g, cluster, node="c0", identity=bob)
+        m_bob = mounted(
+            g, cluster, node="c0", identity=bob, max_coalesce=m.max_coalesce
+        )
 
         def bob_io():
             try:

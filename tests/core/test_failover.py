@@ -35,6 +35,34 @@ class TestNsdFailover:
         assert run_io(g, read_io()) == payload
         assert fs.service.failovers > 0
 
+    def test_failed_coalesced_fetch_reaches_the_reader(self):
+        # A multi-block run whose only server is down must fail the
+        # reader's read, not escape from an unwatched process, and must
+        # release every block it had in flight.
+        g, cluster, fs, _ = small_gfs(nsd_servers=1, store_data=True)
+        m = mounted(g, cluster, node="c0", max_coalesce=8)
+        bs = fs.block_size
+
+        def write_io():
+            h = yield m.open("/f", "w", create=True)
+            yield m.write(h, bytes(range(256)) * (16 * bs // 256))
+            yield m.close(h)
+
+        run_io(g, write_io())
+        m.pool.invalidate(fs.namespace.resolve("/f").ino)
+        fs.service.mark_down("nsd0")
+
+        def read_io():
+            h = yield m.open("/f", "r")
+            try:
+                yield m.read(h, 4 * bs)
+            except NsdServerDown as exc:
+                return exc
+            return None
+
+        assert isinstance(run_io(g, read_io()), NsdServerDown)
+        assert m._fetching == {}
+
     def test_all_servers_down_raises(self):
         g, cluster, fs, _ = small_gfs(nsd_servers=2)
         for node in ["nsd0", "nsd1"]:

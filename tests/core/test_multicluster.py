@@ -19,8 +19,12 @@ def wan_gfs(
     do_keys=True,
     do_grant="rw",
     block_size=KiB(256),
+    **fs_kwargs,
 ):
-    """Two clusters (sdsc serving, ncsa importing) across a WAN."""
+    """Two clusters (sdsc serving, ncsa importing) across a WAN.
+
+    Extra keyword arguments (``replication``, ...) go to ``mmcrfs``.
+    """
     g = Gfs(seed=3)
     net = g.network
     net.add_node("sdsc-sw", kind="switch")
@@ -42,6 +46,7 @@ def wan_gfs(
         "gpfs-sdsc",
         [NsdSpec(server=s, blocks=4096) for s in sdsc_nodes],
         block_size=block_size,
+        **fs_kwargs,
     )
     sdsc.mmauth_update(server_cipher)
     ncsa.mmauth_update(client_cipher)

@@ -95,6 +95,50 @@ def run_e13_exported(tmp_path, name, seed=0):
     return result, paths
 
 
+class TestTwoUniverses:
+    """A sweep that builds one scenario per point (Fig 11's node counts)
+    reuses filesystem and client names; the ``sim`` label keeps their
+    per-object metrics apart."""
+
+    @staticmethod
+    def _two_universes(out_dir):
+        from tests.core.testbed import mounted, run_io, small_gfs
+
+        for _ in range(2):
+            g, cluster, fs, _clients = small_gfs(nsd_servers=2)
+            mounts = [mounted(g, cluster, node=n) for n in ("c0", "c1")]
+
+            def io(m=mounts[0]):
+                h = yield m.open("/f", "w", create=True)
+                yield m.write(h, b"x" * fs.block_size)
+                yield m.close(h)
+
+            run_io(g, io())
+            OBS.scrape(g.sim)
+        return export_metrics_dir(OBS, str(out_dir), "sweep")
+
+    def test_same_names_register_per_universe(self, tmp_path):
+        with obs_enabled():
+            self._two_universes(tmp_path / "a")
+            last = OBS.rows[-1]
+        for sim in ("1", "2"):
+            assert f"nsd.blocks_written{{fs=gpfs0,sim={sim}}}" in last["counters"]
+            assert f"tokens.grants{{fs=gpfs0,sim={sim}}}" in last["counters"]
+            assert (
+                f"client.pagepool.hits{{client=c1,fs=gpfs0,m=2,sim={sim}}}"
+                in last["counters"]
+            )
+
+    def test_same_seed_exports_bit_identical(self, tmp_path):
+        exports = []
+        for run in ("a", "b"):
+            with obs_enabled():
+                paths = self._two_universes(tmp_path / run)
+            exports.append({k: Path(p).read_bytes() for k, p in paths.items()})
+        assert exports[0] == exports[1]
+        validate_metrics_dir(str(tmp_path / "a"))
+
+
 class TestE13Telemetry:
     def test_same_seed_exports_bit_identical(self, tmp_path):
         _, a = run_e13_exported(tmp_path, "a")
