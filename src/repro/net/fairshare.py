@@ -1,6 +1,6 @@
 """Max-min fair bandwidth allocation with per-flow rate caps.
 
-Vectorized progressive filling ("water-filling"). Each iteration either
+Progressive filling ("water-filling"). Each round either
 
 * fixes every flow whose cap is at or below its current fair share on every
   link of its path (such a flow is cap-limited in the final allocation,
@@ -8,13 +8,27 @@ Vectorized progressive filling ("water-filling"). Each iteration either
 * saturates the current bottleneck link(s), fixing their flows at the
   bottleneck share.
 
-Each iteration removes at least one link or the whole capped set, so the
-loop runs O(links) times; each iteration is a fixed handful of numpy calls
-over the incidence's (column, link) entry list, so its cost is per-call
-overhead rather than matrix size (this routine is the simulator's hot
-spot).
+Each round fixes at least one column, so the loop runs at most once per
+column. Two routines run it, chosen by the number of *live* (weight > 0)
+columns in the problem, and both return the same bits:
 
-Two entry points share the solver core:
+* :func:`_water_fill` (more than :data:`_SCALAR_MAX_COLS` live columns) —
+  each round is a fixed handful of numpy calls over the incidence's
+  (column, link) entry list, so its cost is per-call overhead rather than
+  matrix size;
+* :func:`_fill_scalar` (the rest, down to one column) — the same rounds
+  in plain Python floats over per-link dicts, whose cost grows with the
+  column count but starts far below numpy's per-call overhead, so it
+  wins on the many small components of a gateway or figure run. It
+  performs exactly :func:`_water_fill`'s float operations in the same
+  order: per link ``remaining / count``, per column the min over its
+  path, the capped test ``fcap <= share * (1 + _REL_EPS)``, and the drain
+  below. A min, a compare and a sum of integer weights are exact in any
+  evaluation order, and every other operation is the same single IEEE
+  operation on the same inputs, so the two routines agree bit for bit
+  (pinned by a differential property test).
+
+Two entry points share the solvers:
 
 * :func:`max_min_rates` — stateless, rebuilds the incidence matrix per
   call. Fine for one-shot questions and property tests.
@@ -77,6 +91,14 @@ from repro.sim.profile import PROFILE
 
 #: Relative tolerance when comparing rates.
 _REL_EPS = 1e-9
+
+#: Most live columns a problem may have to go to :func:`_fill_scalar`.
+#: Timed per call on components captured from the end-to-end benchmark's
+#: workloads (2-vCPU VM, CPython 3.11): on 2–8 live columns numpy
+#: :func:`_water_fill` took 25–39 µs and :func:`_fill_scalar` 6–19 µs;
+#: they broke even at 20–23 columns, and numpy was 1.3–1.6× faster from
+#: 40 columns and 2.5× from 90 (``fleet``, ``lan_read``).
+_SCALAR_MAX_COLS = 16
 
 
 def _drain(
@@ -192,6 +214,96 @@ def _water_fill(
     raise RuntimeError("progressive filling failed to converge")  # pragma: no cover
 
 
+def _fill_scalar(
+    paths: Sequence[Sequence[int]],
+    caps: Sequence[float],
+    fcaps: Sequence[float],
+    weights: Sequence[float],
+) -> List[float]:
+    """:func:`_water_fill` in Python floats; returns per-column rates.
+
+    ``paths[i]`` lists the distinct link ids column ``i`` crosses (at
+    least one), as indices into ``caps``; ``fcaps`` and ``weights`` hold
+    each column's cap and integer weight. Every round makes the same
+    float operations as :func:`_water_fill` and drains like
+    :func:`_drain`, so the rates are the same bits (module docstring).
+    """
+    # Inline loops, not min()/map(): a builtin call per column costs more
+    # than the arithmetic on these few-link paths.
+    slack = 1 + _REL_EPS
+    inf = float("inf")
+    counts: Dict[int, float] = {}
+    for path, w in zip(paths, weights):
+        for l in path:
+            if l in counts:
+                counts[l] += w
+            else:
+                counts[l] = w
+    remaining = {l: caps[l] for l in counts}
+    share = {l: remaining[l] / n for l, n in counts.items()}
+    rates = [0.0] * len(paths)
+    live = list(range(len(paths)))
+    for _ in range(len(paths)):
+        shares = []
+        for i in live:
+            s = inf
+            for l in paths[i]:
+                if share[l] < s:
+                    s = share[l]
+            shares.append(s)
+        fixed = [(i, fcaps[i]) for i, s in zip(live, shares) if fcaps[i] <= s * slack]
+        if not fixed:
+            m = inf
+            for s in shares:
+                if s < m:
+                    m = s
+            m *= slack
+            fixed = [(i, s) for i, s in zip(live, shares) if s <= m]
+        for i, v in fixed:
+            rates[i] = v
+        if len(fixed) == len(live):
+            return rates
+        # Per touched link: the fixed weight summed by rate, subtracted in
+        # ascending-rate order, then one clamp at 0. Only touched links'
+        # shares move; a link whose count fell to 0 carries no live column.
+        by_rate: Dict[int, Dict[float, float]] = {}
+        for i, v in fixed:
+            w = weights[i]
+            for l in paths[i]:
+                counts[l] -= w
+                if l not in by_rate:
+                    by_rate[l] = {v: w}
+                elif v in by_rate[l]:
+                    by_rate[l][v] += w
+                else:
+                    by_rate[l][v] = w
+        for l, n_v in by_rate.items():
+            r = remaining[l]
+            for v in sorted(n_v):
+                r -= v * n_v[v]
+            if r < 0.0:
+                r = 0.0
+            remaining[l] = r
+            if counts[l]:
+                share[l] = r / counts[l]
+        done = {i for i, _ in fixed}
+        live = [i for i in live if i not in done]
+    raise RuntimeError("progressive filling failed to converge")  # pragma: no cover
+
+
+def _require_positive(values: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming the first entry not above 0, NaN included.
+
+    ``what`` formats the entry's index, e.g. ``"link {} capacity"``. The
+    solvers never see a NaN: numpy's ``minimum`` and Python's ``min``
+    would disagree on one.
+    """
+    bad = ~(values > 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{what.format(i)} must be positive, got {values[i]}")
+
+
 def _entries(
     flow_links: Sequence[Sequence[int]], nlinks: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -252,10 +364,8 @@ def max_min_rates(
     fcaps = np.asarray(flow_caps, dtype=float)
     if fcaps.shape[0] != nflows:
         raise ValueError("flow_caps length must match flow_links")
-    if np.any(fcaps <= 0):
-        raise ValueError("flow caps must be positive")
-    if np.any(caps <= 0):
-        raise ValueError("link capacities must be positive")
+    _require_positive(fcaps, "flow {} cap")
+    _require_positive(caps, "link {} capacity")
     if flow_weights is None:
         weights = np.ones(nflows)
     else:
@@ -276,12 +386,17 @@ def max_min_rates(
     rates[pathless] = fcaps[pathless]
 
     pathful = np.flatnonzero(~pathless)
-    if pathful.size:
+    if pathful.size > _SCALAR_MAX_COLS:
         # Incidence matrix M[l, f] = flow f crosses link l.
         M = np.zeros((nlinks, nflows), dtype=bool)
         M[link_ids, flow_of] = True
         rates[pathful] = _water_fill(M[:, pathful], caps, fcaps[pathful],
                                      weights[pathful])
+    elif pathful.size:
+        # A path may repeat a link; the incidence above counts it once.
+        paths = [list(dict.fromkeys(flow_links[f])) for f in pathful.tolist()]
+        rates[pathful] = _fill_scalar(paths, caps.tolist(), fcaps[pathful].tolist(),
+                                      weights[pathful].tolist())
     return rates
 
 
@@ -326,9 +441,12 @@ class FairshareState:
 
     def __init__(self, link_caps: Sequence[float] = (), capacity: int = 64) -> None:
         caps = np.array(link_caps, dtype=float)
-        if np.any(caps <= 0):
-            raise ValueError("link capacities must be positive")
+        _require_positive(caps, "link {} capacity")
         self._caps = caps
+        #: ``_caps`` as Python floats, for :func:`_fill_scalar`.
+        self._cap_list: List[float] = caps.tolist()
+        #: The read-only array ``_caps`` was last adopted from, if any.
+        self._caps_src: Optional[np.ndarray] = None
         self._nlinks = caps.shape[0]
         cap = max(int(capacity), 1)
         self._M = np.zeros((self._nlinks, cap), dtype=bool)
@@ -405,6 +523,8 @@ class FairshareState:
         self._free.extend(range(new - 1, old - 1, -1))
 
     def _grow_links(self, nlinks: int) -> None:
+        # The adopted capacity array no longer covers every link.
+        self._caps_src = None
         self._M = np.pad(self._M, ((0, nlinks - self._nlinks), (0, 0)))
         self._parent.extend(range(self._nlinks, nlinks))
         self._size.extend([1] * (nlinks - self._nlinks))
@@ -415,17 +535,23 @@ class FairshareState:
 
         Called by the engine before every solve, so ``Link.set_rate``
         changes are picked up at the next event with no further plumbing —
-        but only the components containing a changed link re-solve.
+        but only the components containing a changed link re-solve. A
+        read-only ndarray (what ``Network.link_capacities`` hands out) is
+        remembered, and handing the same object again returns at once:
+        nobody can have changed it in place.
         """
+        if link_caps is self._caps_src:
+            return
         caps = np.asarray(link_caps, dtype=float)
+        if caps.shape[0] < self._nlinks:
+            raise ValueError("links cannot be removed from a FairshareState")
+        _require_positive(caps, "link {} capacity")
         if caps.shape[0] > self._nlinks:
             self._grow_links(caps.shape[0])
-        elif caps.shape[0] < self._nlinks:
-            raise ValueError("links cannot be removed from a FairshareState")
+        if isinstance(link_caps, np.ndarray) and not link_caps.flags.writeable:
+            self._caps_src = link_caps
         if self._caps.shape[0] == caps.shape[0] and np.array_equal(caps, self._caps):
             return
-        if np.any(caps <= 0):
-            raise ValueError("link capacities must be positive")
         old = self._caps
         for l in range(caps.shape[0]):
             if l >= old.shape[0] or caps[l] != old[l]:
@@ -433,6 +559,7 @@ class FairshareState:
                 if self._comp_cols.get(root):
                     self._dirty.add(root)
         self._caps = caps.copy()
+        self._cap_list = caps.tolist()
 
     # -- flow membership --------------------------------------------------------
 
@@ -443,13 +570,13 @@ class FairshareState:
         column is solved as ``w`` identical flows, and its rate is the
         per-member rate. Use :meth:`set_weight` for join/leave updates.
         Link ids at or above the current link count grow the state; a
-        negative id is rejected.
+        negative id is rejected, and a repeated one counts once.
         """
-        if fcap <= 0:
-            raise ValueError("flow caps must be positive")
+        path = list(dict.fromkeys(path))
+        if not fcap > 0:
+            raise ValueError(f"flow on path {path}: cap must be positive, got {fcap}")
         if weight < 1 or weight != int(weight):
             raise ValueError("flow weight must be a positive integer")
-        path = list(path)
         if path and min(path) < 0:
             raise ValueError(f"path {path} has negative link id {min(path)}")
         if not path and not np.isfinite(fcap):
@@ -599,32 +726,31 @@ class FairshareState:
             comp_cols = np.fromiter(cols_set, dtype=np.intp,
                                     count=len(cols_set))
             live_cols = comp_cols[self._weights[comp_cols] > 0.0]
-            if not live_cols.size:
+            # The solver is chosen by live count: on the gateway workload
+            # most components register 20–24 columns, at most 10 of them
+            # live.
+            n = live_cols.shape[0]
+            if not n:
                 continue
-            if live_cols.size == 1:
-                # Single-column component: water-filling reduces to one
-                # round. counts are ``w`` on every link of the path, so the
-                # column's share is min(caps over path) / w — division by a
-                # constant is weakly monotone, so the min commutes with it
-                # and this produces the same bits as the general solver.
-                c = int(live_cols[0])
-                m = min(self._caps[l] for l in self._paths[c]) / self._weights[c]
-                fcap = self._fcaps[c]
-                rate = fcap if fcap <= m * (1 + _REL_EPS) else m
+            if n == 1:
                 self.single_flow_solves += 1
                 PROFILE.count("fairshare.single_flow_solves")
-                if rate != self._rates[c]:
-                    move(np.asarray([c], dtype=np.intp), rate)
-                continue
+            else:
+                self.solves += 1
+                self.solved_rows += n
+                PROFILE.count("fairshare.solves")
+                PROFILE.count("fairshare.solved_rows", n)
             cols = np.sort(live_cols)
-            sub = self._M[:, cols]
-            links = np.nonzero(sub.any(axis=1))[0]
-            self.solves += 1
-            self.solved_rows += int(cols.shape[0])
-            PROFILE.count("fairshare.solves")
-            PROFILE.count("fairshare.solved_rows", cols.shape[0])
-            rates = _water_fill(sub[links], self._caps[links],
-                                self._fcaps[cols], self._weights[cols])
+            if n <= _SCALAR_MAX_COLS:
+                paths = self._paths
+                rates = np.array(_fill_scalar(
+                    [paths[c] for c in cols.tolist()], self._cap_list,
+                    self._fcaps[cols].tolist(), self._weights[cols].tolist()))
+            else:
+                sub = self._M[:, cols]
+                links = np.nonzero(sub.any(axis=1))[0]
+                rates = _water_fill(sub[links], self._caps[links],
+                                    self._fcaps[cols], self._weights[cols])
             diff = rates != self._rates[cols]
             if diff.any():
                 move(cols[diff], rates[diff])

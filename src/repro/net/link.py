@@ -27,18 +27,21 @@ class Link:
         efficiency: float = 0.94,
         name: Optional[str] = None,
     ) -> None:
-        if rate <= 0:
-            raise ValueError(f"link rate must be positive, got {rate}")
-        if delay < 0:
-            raise ValueError(f"link delay must be non-negative, got {delay}")
+        self.name = name or f"{src}->{dst}"
+        # Written so that NaN fails each check.
+        if not rate > 0:
+            raise ValueError(f"link {self.name}: rate must be positive, got {rate}")
+        if not delay >= 0:
+            raise ValueError(
+                f"link {self.name}: delay must be non-negative, got {delay}")
         if not 0 < efficiency <= 1:
-            raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
+            raise ValueError(
+                f"link {self.name}: efficiency must be in (0, 1], got {efficiency}")
         self.src = src
         self.dst = dst
         self.rate = float(rate)
         self.delay = float(delay)
         self.efficiency = float(efficiency)
-        self.name = name or f"{src}->{dst}"
         #: Index into the engine's capacity vector; assigned by Network.
         self.index: int = -1
         #: Callback ``fn(link, old_rate)`` fired by set_rate; assigned by
@@ -58,8 +61,8 @@ class Link:
         current sim instant: the engine is notified and schedules a
         recompute, so active flows adapt without any caller-side poke.
         """
-        if rate <= 0:
-            raise ValueError(f"link rate must be positive, got {rate}")
+        if not rate > 0:
+            raise ValueError(f"link {self.name}: rate must be positive, got {rate}")
         old = self.rate
         self.rate = float(rate)
         if self.rate != old and self.on_rate_change is not None:

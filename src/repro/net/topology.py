@@ -213,13 +213,13 @@ class Network:
         """Usable capacity vector indexed by link id (for the flow engine).
 
         Cached (invalidated by ``add_link``/``set_rate``): the flow engine
-        reads this before every solve, and handing back the same ndarray
-        lets ``FairshareState.set_link_caps`` early-out on identity. The
-        array is shared — treat it as read-only.
+        reads this before every solve, and handing back the same read-only
+        ndarray lets ``FairshareState.set_link_caps`` early-out on identity.
         """
         caps = self._caps_cache
         if caps is None:
             caps = self._caps_cache = np.asarray(
                 [link.usable_rate for link in self.links], dtype=float
             )
+            caps.flags.writeable = False
         return caps

@@ -31,9 +31,10 @@ Counter namespaces in use:
   them (what a full re-solve would have touched), flows whose rate
   actually changed;
 * ``fairshare.solves`` / ``fairshare.solved_rows`` — per-component
-  water-filling solves and the flow rows they touched;
+  water-filling solves of two or more live columns and the columns they
+  solved;
 * ``fairshare.single_flow_solves`` — dirty components of exactly one
-  flow resolved by the closed-form shortcut (no matrix work);
+  live column (solved by the scalar routine like any small component);
 * ``fairshare.matrix_growths`` / ``fairshare.partition_rebuilds`` —
   incidence-state maintenance events;
 * ``nsd.coalesced_rpcs`` / ``nsd.coalesced_blocks`` — block RPCs of

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.fairshare import FairshareState, link_utilization, max_min_rates
+from repro.net.fairshare import (
+    FairshareState,
+    _fill_scalar,
+    _water_fill,
+    link_utilization,
+    max_min_rates,
+)
 
 INF = float("inf")
 
@@ -54,6 +60,20 @@ class TestBasics:
             max_min_rates([10.0], [[0]], [0.0])
         with pytest.raises(ValueError):
             max_min_rates([10.0], [[0]], [1.0, 2.0])
+
+    def test_nan_rejected_naming_the_entry(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="link 1 capacity must be positive"):
+            max_min_rates([10.0, nan], [[0]], [1.0])
+        with pytest.raises(ValueError, match="flow 1 cap must be positive"):
+            max_min_rates([10.0], [[0], [0]], [1.0, nan])
+
+    def test_repeated_link_counts_once(self):
+        assert list(max_min_rates([100.0], [[0, 0], [0]], [INF, INF])) == [50.0, 50.0]
+        state = FairshareState([100.0])
+        cols = [state.add_flow([0, 0], INF), state.add_flow([0], INF)]
+        state.solve()
+        assert [state.rate_of(c) for c in cols] == [50.0, 50.0]
 
     def test_negative_link_id_rejected(self):
         # Unchecked, numpy indexing would route -1 over the last link.
@@ -176,3 +196,36 @@ def test_allocation_deterministic(problem):
     a = max_min_rates(caps, flow_links, flow_caps)
     b = max_min_rates(caps, flow_links, flow_caps)
     assert np.array_equal(a, b)
+
+
+@st.composite
+def weighted_fill_problem(draw):
+    """1–25 weighted columns over shared links, with inf and near-tie caps."""
+    caps = draw(st.lists(st.one_of(st.sampled_from([1e9, 1.25e8, 100.0]),
+                                   st.floats(1.0, 1e10)),
+                         min_size=1, max_size=8))
+    paths, fcaps, weights = [], [], []
+    for _ in range(draw(st.integers(1, 25))):
+        path = sorted(draw(st.sets(st.integers(0, len(caps) - 1),
+                                   min_size=1, max_size=min(4, len(caps)))))
+        # A cap at (or a hair off) a fair share k ways of a link on the path.
+        tie = caps[draw(st.sampled_from(path))] / draw(st.integers(1, 40))
+        fcaps.append(draw(st.one_of(
+            st.sampled_from([INF, tie, tie * (1 + 5e-10), tie * (1 - 5e-10)]),
+            st.floats(0.5, 1e10))))
+        weights.append(float(draw(st.integers(1, 23))))
+        paths.append(path)
+    return caps, paths, fcaps, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_fill_problem())
+def test_scalar_fill_matches_numpy_bit_for_bit(problem):
+    """Both solvers, called directly at any size, return the same bits."""
+    caps, paths, fcaps, weights = problem
+    M = np.zeros((len(caps), len(paths)), dtype=bool)
+    for col, path in enumerate(paths):
+        M[path, col] = True
+    want = _water_fill(M, np.asarray(caps), np.asarray(fcaps), np.asarray(weights))
+    got = _fill_scalar(paths, caps, fcaps, weights)
+    assert [repr(r) for r in got] == [repr(r) for r in want.tolist()]

@@ -9,6 +9,7 @@ round-off), while only re-solving components that actually changed.
 import numpy as np
 import pytest
 
+from repro.net import fairshare
 from repro.net.fairshare import FairshareState, max_min_rates
 
 INF = float("inf")
@@ -81,6 +82,23 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             FairshareState([-1.0])
 
+    def test_nan_rejected_before_any_state_changes(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="link 1 capacity must be positive"):
+            FairshareState([1.0, nan])
+        st = FairshareState([100.0], capacity=2)
+        with pytest.raises(ValueError, match="link 2 capacity must be positive"):
+            st.set_link_caps([100.0, 50.0, nan])
+        with pytest.raises(ValueError, match=r"flow on path \[0\]: cap must be"):
+            st.add_flow([0], nan)
+        assert st.nactive == 0
+        assert st.capacity == 2
+        # The link count did not grow, so the one-link vector is still valid.
+        c0 = st.add_flow([0], INF)
+        st.set_link_caps([100.0])
+        st.solve()
+        assert st.rate_of(c0) == 100.0
+
 
 class TestPathless:
     def test_rated_at_cap_on_next_solve(self):
@@ -134,6 +152,39 @@ class TestComponentPartitioning:
         st.set_link_caps([100.0])
         cols, _ = st.solve()
         assert cols.size == 0
+
+    def test_identity_early_out_then_a_new_array_dirties_its_component(self):
+        caps = np.array([100.0, 60.0, 40.0])
+        caps.flags.writeable = False
+        st = FairshareState(caps)
+        a = st.add_flow([0], INF)
+        b = st.add_flow([1, 2], INF)
+        st.set_link_caps(caps)
+        st.solve()
+        st.set_link_caps(caps)  # the same read-only array: returns at once
+        assert st._caps_src is caps
+        assert st.solve()[0].size == 0
+        new = caps.copy()
+        new[2] = 30.0
+        new.flags.writeable = False
+        st.set_link_caps(new)
+        cols, old = st.solve()
+        assert list(cols) == [b]
+        assert list(old) == [40.0]
+        assert st.rate_of(b) == 30.0
+        assert st.rate_of(a) == 100.0
+
+    def test_writable_array_changed_in_place_is_noticed(self):
+        caps = np.array([100.0])
+        st = FairshareState(caps)
+        a = st.add_flow([0], INF)
+        st.set_link_caps(caps)
+        st.solve()
+        caps[0] = 50.0
+        st.set_link_caps(caps)
+        cols, _ = st.solve()
+        assert list(cols) == [a]
+        assert st.rate_of(a) == 50.0
 
     def test_arrival_merges_components(self):
         st = FairshareState([100.0, 100.0])
@@ -209,3 +260,53 @@ class TestAgreementWithStateless:
         by_col = dict(zip(cols.tolist(), old.tolist()))
         assert by_col[c0] == pytest.approx(100.0)  # rate before this solve
         assert by_col[c1] == pytest.approx(0.0)
+
+
+class TestSolverDispatch:
+    def test_live_count_crossing_the_scalar_limit_matches_stateless(
+        self, monkeypatch
+    ):
+        """Live columns grow past the limit, get parked below it, rejoin
+        and leave; every solve takes the path its *live* count selects
+        and returns the bits of a from-scratch weighted solve."""
+        seen = []
+        fill, water = fairshare._fill_scalar, fairshare._water_fill
+        monkeypatch.setattr(fairshare, "_fill_scalar",
+                            lambda *a: seen.append("scalar") or fill(*a))
+        monkeypatch.setattr(fairshare, "_water_fill",
+                            lambda *a: seen.append("numpy") or water(*a))
+        limit = fairshare._SCALAR_MAX_COLS
+        caps = [1e9, 4e8, 2.5e8, 1e8]
+        # Every path crosses link 0: one component throughout.
+        paths = [[0], [0, 1], [0, 2], [0, 1, 3], [0, 3]]
+        st = FairshareState(caps)
+        flows = {}  # col -> [path, fcap, weight]
+
+        def check():
+            live = sorted(c for c, (_, _, w) in flows.items() if w)
+            seen.clear()
+            st.solve()
+            assert seen == ["scalar" if len(live) <= limit else "numpy"]
+            want = max_min_rates(caps, [flows[c][0] for c in live],
+                                 [flows[c][1] for c in live],
+                                 [flows[c][2] for c in live])
+            got = [st.rate_of(c) for c in live]
+            assert [repr(r) for r in got] == [repr(r) for r in want.tolist()]
+
+        for i in range(limit + 6):
+            path, fcap, w = paths[i % 5], (INF if i % 4 else 3e7 + i), i % 3 + 1
+            flows[st.add_flow(path, fcap, weight=w)] = [path, fcap, w]
+            check()
+        parked = list(flows)[: limit]
+        for col in parked:  # registered count stays above the limit
+            st.set_weight(col, 0)
+            flows[col][2] = 0
+            check()
+        for col in parked:
+            st.set_weight(col, 2)
+            flows[col][2] = 2
+            check()
+        for col in list(flows)[:-1]:
+            st.remove_flow(col)
+            del flows[col]
+            check()

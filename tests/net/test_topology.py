@@ -32,6 +32,17 @@ class TestLink:
         with pytest.raises(ValueError):
             Link("a", "b", rate=1, efficiency=1.5)
 
+    def test_nan_rejected_naming_the_link(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="link a->b: rate must be positive"):
+            Link("a", "b", rate=nan)
+        with pytest.raises(ValueError, match="link up: delay"):
+            Link("a", "b", rate=1, delay=nan, name="up")
+        link = Link("a", "b", rate=1000.0)
+        with pytest.raises(ValueError, match="link a->b: rate must be positive"):
+            link.set_rate(nan)
+        assert link.rate == 1000.0
+
 
 class TestConstruction:
     def test_duplicate_node_rejected(self):
@@ -91,6 +102,14 @@ class TestConstruction:
         caps = net.link_capacities()
         for link in net.links:
             assert caps[link.index] == link.usable_rate
+
+    def test_capacities_are_one_read_only_array_until_a_rate_changes(self):
+        net = triangle()
+        caps = net.link_capacities()
+        assert net.link_capacities() is caps
+        assert not caps.flags.writeable
+        net.links[0].set_rate(Gbps(5))
+        assert net.link_capacities() is not caps
 
 
 class TestRouting:
