@@ -13,9 +13,10 @@ column. Two routines run it, chosen by the number of *live* (weight > 0)
 columns in the problem, and both return the same bits:
 
 * :func:`_water_fill` (more than :data:`_SCALAR_MAX_COLS` live columns) —
-  each round is a fixed handful of numpy calls over the incidence's
-  (column, link) entry list, so its cost is per-call overhead rather than
-  matrix size;
+  each round is a fixed handful of numpy calls over a (longest path) × F
+  table of the columns' link ids and the weighted incidence built from it
+  once per solve, so its cost is per-call overhead rather than matrix
+  size. It skips the capped test when no cap can pass it (below);
 * :func:`_fill_scalar` (the rest, down to one column) — the same rounds
   in plain Python floats over per-link dicts, whose cost grows with the
   column count but starts far below numpy's per-call overhead, so it
@@ -30,11 +31,12 @@ columns in the problem, and both return the same bits:
 
 Two entry points share the solvers:
 
-* :func:`max_min_rates` — stateless, rebuilds the incidence matrix per
-  call. Fine for one-shot questions and property tests.
-* :class:`FairshareState` — persistent incidence state for the flow
+* :func:`max_min_rates` — stateless, builds the path table per call.
+  Fine for one-shot questions and property tests.
+* :class:`FairshareState` — a persistent path table for the flow
   engine's event loop: columns are added/removed as flows come and go
-  (amortized growth, freed columns reused), the link-sharing graph is
+  (amortized growth, freed columns reused; nothing is rebuilt per
+  solve, and a weight change writes no table), the link-sharing graph is
   partitioned into connected components with a union-find, and
   :meth:`FairshareState.solve` re-runs water-filling only for components
   marked dirty by a membership or capacity change. Adding a flow between
@@ -63,13 +65,29 @@ solving one column per member flow):
 * fair shares (``remaining / counts``), per-flow share minima, and every
   cap comparison are single operations on identical inputs;
 * the only float *accumulation* is draining a round's newly fixed columns
-  from ``remaining``. Per link, :func:`_drain` groups them by distinct
-  rate ``v``, sums their integer weights exactly into ``n_v``, subtracts
+  from ``remaining``. Per link, the drain groups them by distinct rate
+  ``v``, sums their integer weights exactly into ``n_v``, subtracts
   ``fl(v * n_v)`` in ascending-``v`` order with plain IEEE arithmetic,
   and clamps at zero once at the end. Flow space (``w`` columns of
   weight 1 at rate ``v``) and class space (one column of weight ``w``)
   hand every link the same ``(v, n_v)`` multiset, so both perform the
   same float operations in the same order and get the same bits.
+
+:func:`_water_fill` computes every ``n_v`` as a matvec of the weighted
+incidence with the round's fixed mask (restricted to rate ``v`` when the
+round fixed several rates): a sum of integer weights, exact in whatever
+order BLAS adds them. A round that fixes one rate (almost every round)
+is one matvec; a round with several subtracts ``fl(v * n_v)`` for each
+of its rates in ascending order at every link, and at a link a rate does
+not reach that is ``v * 0 == 0``, which moves no bit.
+
+The capped-test skip is exact too. ``remaining`` never grows and a live
+column counts at least 1 on every link it crosses, so its share never
+exceeds the smallest capacity ``c`` on its path, and rounding is
+monotone, so ``fl(share * (1 + _REL_EPS)) <= fl(c * (1 + _REL_EPS))``. A
+column whose cap lies above the right-hand side never passes the capped
+test; when every column's does, :func:`_water_fill` does not run it, and
+the rounds make the same float operations as the routine that does.
 
 Per-link quantities only ever see that link's own flows, grouped and
 ordered by rate — never by column index — so permuting columns cannot
@@ -94,123 +112,101 @@ _REL_EPS = 1e-9
 
 #: Most live columns a problem may have to go to :func:`_fill_scalar`.
 #: Timed per call on components captured from the end-to-end benchmark's
-#: workloads (2-vCPU VM, CPython 3.11): on 2–8 live columns numpy
-#: :func:`_water_fill` took 25–39 µs and :func:`_fill_scalar` 6–19 µs;
-#: they broke even at 20–23 columns, and numpy was 1.3–1.6× faster from
-#: 40 columns and 2.5× from 90 (``fleet``, ``lan_read``).
+#: workloads (2-vCPU VM, CPython 3.11, numpy 2.4): on 2–8 live columns
+#: numpy :func:`_water_fill` took 20–36 µs and :func:`_fill_scalar`
+#: 8–20 µs; scalar was still 1.1–1.5× faster at 13–16 columns, they broke
+#: even at 17–21, and numpy was 1.5× faster at 40 columns and 4× at 90
+#: (``fleet``, ``lan_read``).
 _SCALAR_MAX_COLS = 16
 
 
-def _drain(
-    remaining: np.ndarray,
-    counts: np.ndarray,
-    fixed: np.ndarray,
-    v: np.ndarray,
-    flows_cat: np.ndarray,
-    links_cat: np.ndarray,
-    w_cat: np.ndarray,
-) -> None:
-    """Take one round's newly fixed columns off the links, in place.
-
-    ``fixed`` masks the columns and ``v`` holds their rates in column
-    order; ``flows_cat``/``links_cat``/``w_cat`` list one entry per
-    (column, link it crosses) with the column's integer weight. Each
-    link's ``counts`` loses the fixed weight. Its ``remaining`` loses the
-    fixed demand: entries are grouped by distinct ``v`` with their weights
-    summed exactly into ``n_v``, ``fl(v * n_v)`` is subtracted in
-    ascending-``v`` order, and the result is clamped at zero once. The
-    module docstring argues why this is bit-identical across class/flow
-    space and column order.
-    """
-    sel = fixed[flows_cat]
-    links, w = links_cat[sel], w_cat[sel]
-    n = np.bincount(links, weights=w, minlength=counts.shape[0])
-    counts -= n
-    v0 = v[0]
-    if not np.count_nonzero(v != v0):
-        # One rate: ``n_v`` is ``n``, and a link the round did not touch
-        # subtracts v * 0 == 0.
-        remaining -= v0 * n
-    else:
-        # Entries and fixed columns are both in column order.
-        v = v[np.cumsum(fixed)[flows_cat[sel]] - 1]
-        order = np.lexsort((v, links))
-        links, v, w = links[order], v[order], w[order]
-        same = (links[1:] == links[:-1]) & (v[1:] == v[:-1])
-        starts = np.flatnonzero(np.concatenate(([True], ~same)))
-        glinks = links[starts]
-        vn = v[starts] * np.add.reduceat(w, starts)
-        # A group's rank among its link's groups; rank r is every link's
-        # r-th subtraction, one vectorized step (links are unique per rank).
-        rank = np.arange(starts.shape[0]) - np.searchsorted(glinks, glinks)
-        for r in range(int(rank.max()) + 1):
-            at = rank == r
-            remaining[glinks[at]] -= vn[at]
-    np.maximum(remaining, 0.0, out=remaining)
-
-
 def _water_fill(
-    M: np.ndarray,
+    table: np.ndarray,
     caps: np.ndarray,
     fcaps: np.ndarray,
     weights: np.ndarray,
 ) -> np.ndarray:
-    """Progressive filling over incidence ``M``; returns per-column rates.
+    """Progressive filling over path ``table``; returns per-column rates.
 
-    ``M`` is the L×F bool incidence matrix and every column crosses at
-    least one link (callers rate pathless flows at their cap). ``weights``
-    holds the integer member multiplicity per column; the solved rate of
-    a weight-``w`` column is the per-member rate.
+    ``table`` is a C-order (longest path) × F int array: column ``i`` lists
+    the distinct link ids column ``i`` crosses (at least one), as indices
+    into ``caps``, padded with -1. ``fcaps`` and ``weights`` hold each
+    column's cap and integer member multiplicity; the solved rate of a
+    weight-``w`` column is the per-member rate.
     """
-    nlinks, nflows = M.shape
-    remaining = caps.copy()
-    rates = np.zeros(nflows)
-    # One entry per (column, link it crosses), in column order.
-    flows_cat, links_cat = np.nonzero(M.T)
-    w_cat = weights[flows_cat]
-    # The same entries as a (longest path) × F table of link indices, so a
-    # column's fair share is one min down its table column. Short paths
-    # are padded with link ``nlinks``, whose share is inf. A fixed column
-    # is retired by pointing its first row at link ``nlinks + 1``, whose
-    # share is nan: its share is then nan and fails every comparison.
-    per_col = np.bincount(flows_cat, minlength=nflows)
-    starts = np.zeros(nflows, dtype=np.intp)
-    np.cumsum(per_col[:-1], out=starts[1:])
-    table = np.full((per_col.max(), nflows), nlinks)
-    table[np.arange(flows_cat.shape[0]) - starts[flows_cat], flows_cat] = links_cat
-    retire = table[0]
-    share = np.full(nlinks + 2, np.inf)
-    share[-1] = np.nan
+    nflows = table.shape[1]
+    # Renumber the links the columns cross 0..L-1 in id order. The padding
+    # (-1 indexes the last slot) becomes one more link, of infinite
+    # capacity: its share is inf or inf/0 == inf, so it never binds.
+    used = np.zeros(caps.shape[0] + 1, dtype=np.intp)
+    used[table] = 1
+    ids = used.nonzero()[0]
+    loc = (np.add.accumulate(used) - 1)[table]
+    remaining = np.concatenate((caps, [np.inf]))[ids]
+    nlinks = ids.shape[0]
+    # Weighted incidence: W[l, i] = weights[i] if column i crosses link l.
+    # Per-link live members are its row sums; a round's fixed members per
+    # link are one matvec with the round's mask. Both are sums of integer
+    # weights, exact in any order.
+    W = np.zeros((nlinks, nflows))
+    W[loc, np.arange(nflows)] = weights
+    counts = np.add.reduce(W, axis=1)
+    # A live column's share never exceeds the smallest capacity on its
+    # path (``remaining`` only falls, a live link's count is at least 1,
+    # and rounding is monotone), so a cap above fl(that capacity · (1+ε))
+    # can never pass the capped test: skip the test if no cap can.
+    may_cap = np.count_nonzero(
+        fcaps <= np.minimum.reduce(remaining[loc], axis=0) * (1 + _REL_EPS))
+    # ``share`` holds each link's fair share, then nan. A fixed column is
+    # retired by pointing its first table row at the nan slot: its share
+    # is then nan and fails every comparison.
+    share = np.empty(nlinks + 1)
+    share[nlinks] = np.nan
     link_share = share[:nlinks]
-    # Live members per link. Integer-valued, so the drain's per-round
-    # decrement is exact.
-    counts = np.bincount(links_cat, weights=w_cat, minlength=nlinks)
+    retire = loc[0]
+    rates = np.zeros(nflows)
     left = nflows
 
-    # A link with no live column shares inf (or nan at 0/0); only retired
-    # columns cross such a link.
+    # A link with no live column shares nan (0/0) or inf; only retired
+    # columns cross it.
     with np.errstate(divide="ignore", invalid="ignore"):
         # Every round fixes at least one column (the capped set, or the
         # columns at the minimum share), so nflows rounds always suffice.
         for _ in range(nflows):
             np.divide(remaining, counts, out=link_share)
-            shares = np.minimum.reduce(share[table], axis=0)
-            fixed = fcaps <= shares * (1 + _REL_EPS)
-            if np.count_nonzero(fixed):
-                v = fcaps[fixed]
+            shares = np.minimum.reduce(share[loc], axis=0)
+            if may_cap:
+                fixed = fcaps <= shares * (1 + _REL_EPS)
+            if may_cap and np.count_nonzero(fixed):
+                rate = fcaps
             else:
                 # No live cap is within reach, so every live column's share
                 # is below its cap: the bottleneck columns get their share.
-                m = np.fmin.reduce(shares)  # fmin skips the retired nans
-                fixed = shares <= m * (1 + _REL_EPS)
-                v = shares[fixed]
-            rates[fixed] = v
-            left -= v.shape[0]
+                # The smallest live column share is the smallest share of a
+                # link with live columns; fmin skips the nan of 0/0.
+                fixed = shares <= np.fmin.reduce(link_share) * (1 + _REL_EPS)
+                rate = shares
+            cols = fixed.nonzero()[0]
+            v = rate[cols]
+            rates[cols] = v
+            left -= cols.shape[0]
             if not left:
                 # The last round's drain would never be read: skip it.
                 return rates
-            retire[fixed] = nlinks + 1
-            _drain(remaining, counts, fixed, v, flows_cat, links_cat, w_cat)
+            retire[cols] = nlinks
+            # Drain: per link, the fixed weight ``n_v`` at each distinct
+            # rate ``v`` is summed exactly and fl(v * n_v) subtracted in
+            # ascending-``v`` order, then one clamp at zero. A link a rate
+            # does not reach subtracts v * 0 == 0, which moves no bit.
+            n = W.dot(fixed)
+            counts -= n
+            v0 = v[0]
+            if not np.count_nonzero(v != v0):
+                remaining -= v0 * n
+            else:
+                for r in np.unique(v):
+                    remaining -= r * W.dot(fixed & (rates == r))
+            np.maximum(remaining, 0.0, out=remaining)
     raise RuntimeError("progressive filling failed to converge")  # pragma: no cover
 
 
@@ -225,8 +221,8 @@ def _fill_scalar(
     ``paths[i]`` lists the distinct link ids column ``i`` crosses (at
     least one), as indices into ``caps``; ``fcaps`` and ``weights`` hold
     each column's cap and integer weight. Every round makes the same
-    float operations as :func:`_water_fill` and drains like
-    :func:`_drain`, so the rates are the same bits (module docstring).
+    float operations as :func:`_water_fill`, drain included, so the
+    rates are the same bits (module docstring).
     """
     # Inline loops, not min()/map(): a builtin call per column costs more
     # than the arithmetic on these few-link paths.
@@ -379,25 +375,32 @@ def max_min_rates(
     if nflows == 0:
         return rates
 
-    lengths, flow_of, link_ids = _entries(flow_links, nlinks)
+    lengths, _, _ = _entries(flow_links, nlinks)
     pathless = lengths == 0
     if np.any(pathless & ~np.isfinite(fcaps)):
         raise ValueError("a flow with an empty path must have a finite cap")
     rates[pathless] = fcaps[pathless]
 
     pathful = np.flatnonzero(~pathless)
+    if not pathful.size:
+        return rates
+    # A path may repeat a link; it counts once.
+    paths = [list(dict.fromkeys(flow_links[f])) for f in pathful.tolist()]
     if pathful.size > _SCALAR_MAX_COLS:
-        # Incidence matrix M[l, f] = flow f crosses link l.
-        M = np.zeros((nlinks, nflows), dtype=bool)
-        M[link_ids, flow_of] = True
-        rates[pathful] = _water_fill(M[:, pathful], caps, fcaps[pathful],
+        rates[pathful] = _water_fill(_path_table(paths), caps, fcaps[pathful],
                                      weights[pathful])
-    elif pathful.size:
-        # A path may repeat a link; the incidence above counts it once.
-        paths = [list(dict.fromkeys(flow_links[f])) for f in pathful.tolist()]
+    else:
         rates[pathful] = _fill_scalar(paths, caps.tolist(), fcaps[pathful].tolist(),
                                       weights[pathful].tolist())
     return rates
+
+
+def _path_table(paths: Sequence[Sequence[int]]) -> np.ndarray:
+    """The (longest path) × F table :func:`_water_fill` takes, padded with -1."""
+    table = np.full((max(map(len, paths)), len(paths)), -1, dtype=np.intp)
+    for i, path in enumerate(paths):
+        table[: len(path), i] = path
+    return table
 
 
 def link_utilization(
@@ -418,13 +421,13 @@ def link_utilization(
 
 
 class FairshareState:
-    """Persistent incidence/cap arrays + component-partitioned re-solve.
+    """Persistent path table/cap arrays + component-partitioned re-solve.
 
-    Owns the L×C incidence matrix the solver runs over, where C is a
-    column *capacity* (doubled on demand). A flow occupies one column from
-    :meth:`add_flow` until :meth:`remove_flow`; freed columns go on a free
-    list and are reused LIFO, so the matrix is built once and patched per
-    event instead of rebuilt per solve.
+    Owns the (longest path) × C table of link ids the solver runs over,
+    where C is a column *capacity* (doubled on demand). A flow occupies one
+    column from :meth:`add_flow` until :meth:`remove_flow`; freed columns
+    go on a free list and are reused LIFO, so the table is written only on
+    those two events and on growth, never per solve.
 
     Links are partitioned by a union-find into connected components of the
     link-sharing graph (two links are connected when some active flow
@@ -449,7 +452,10 @@ class FairshareState:
         self._caps_src: Optional[np.ndarray] = None
         self._nlinks = caps.shape[0]
         cap = max(int(capacity), 1)
-        self._M = np.zeros((self._nlinks, cap), dtype=bool)
+        #: Column ``c``'s distinct link ids, padded with -1: what
+        #: :func:`_water_fill` takes, C-ordered so a component's slice is
+        #: too. Grows a row when a path longer than any before arrives.
+        self._table = np.full((1, cap), -1, dtype=np.intp)
         self._fcaps = np.zeros(cap)
         self._rates = np.zeros(cap)
         self._weights = np.zeros(cap)
@@ -512,11 +518,12 @@ class FairshareState:
     # -- capacity maintenance -------------------------------------------------
 
     def _grow_cols(self) -> None:
-        old = self._M.shape[1]
+        old = self._table.shape[1]
         new = max(2 * old, 1)
         PROFILE.count("fairshare.matrix_growths")
+        self._table = np.pad(self._table, ((0, 0), (0, new - old)),
+                             constant_values=-1)
         # np.pad appends zeros (False) and keeps each array's dtype.
-        self._M = np.pad(self._M, ((0, 0), (0, new - old)))
         for name in ("_fcaps", "_rates", "_weights", "_active"):
             setattr(self, name, np.pad(getattr(self, name), (0, new - old)))
         self._paths.extend([None] * (new - old))
@@ -525,7 +532,6 @@ class FairshareState:
     def _grow_links(self, nlinks: int) -> None:
         # The adopted capacity array no longer covers every link.
         self._caps_src = None
-        self._M = np.pad(self._M, ((0, nlinks - self._nlinks), (0, 0)))
         self._parent.extend(range(self._nlinks, nlinks))
         self._size.extend([1] * (nlinks - self._nlinks))
         self._nlinks = nlinks
@@ -596,7 +602,11 @@ class FairshareState:
             need = max(path) + 1
             if need > self._nlinks:
                 self._grow_links(need)
-            self._M[path, col] = True
+            extra = len(path) - self._table.shape[0]
+            if extra > 0:
+                self._table = np.pad(self._table, ((0, extra), (0, 0)),
+                                     constant_values=-1)
+            self._table[: len(path), col] = path
             root = self._union_path(path)
             self._comp_cols.setdefault(root, set()).add(col)
             self._dirty.add(root)
@@ -619,7 +629,7 @@ class FairshareState:
         self._weights[col] = 0.0
         self.nactive -= 1
         if path:
-            self._M[path, col] = False
+            self._table[: len(path), col] = -1
             root = self._find(path[0])
             cols = self._comp_cols.get(root)
             if cols is not None:
@@ -672,7 +682,7 @@ class FairshareState:
     @property
     def capacity(self) -> int:
         """Current column capacity (callers keeping parallel arrays)."""
-        return self._M.shape[1]
+        return self._table.shape[1]
 
     # -- solving ---------------------------------------------------------------
 
@@ -695,14 +705,27 @@ class FairshareState:
                 self._dirty.add(self._find(path[0]))
         self._removals = 0
 
+    def _require_link_caps(self) -> None:
+        """Raise ``ValueError`` naming the first uncovered link a solve needs."""
+        have = self._caps.shape[0]
+        needed = [l for root in self._dirty for c in self._comp_cols.get(root, ())
+                  if self._weights[c] for l in self._paths[c] if l >= have]
+        if needed:
+            raise ValueError(f"link {min(needed)} has no capacity: set_link_caps "
+                             f"has covered {have} links")
+
     def solve(self) -> Tuple[np.ndarray, np.ndarray]:
         """Re-solve dirty components.
 
         Returns ``(cols, old_rates)``: the columns whose rate changed and
         the rates they had before this solve (the new rates are readable
         via :attr:`rates` / :meth:`rate_of`). Untouched components keep
-        their rates and do not appear.
+        their rates and do not appear. Raises ``ValueError``, changing
+        nothing, if a live column to solve crosses a link that
+        :meth:`set_link_caps` has not covered yet.
         """
+        if self._caps.shape[0] < self._nlinks:
+            self._require_link_caps()
         moved_cols: List[np.ndarray] = []
         moved_old: List[np.ndarray] = []
 
@@ -747,9 +770,10 @@ class FairshareState:
                     [paths[c] for c in cols.tolist()], self._cap_list,
                     self._fcaps[cols].tolist(), self._weights[cols].tolist()))
             else:
-                sub = self._M[:, cols]
-                links = np.nonzero(sub.any(axis=1))[0]
-                rates = _water_fill(sub[links], self._caps[links],
+                # np.take keeps C order; a ``[:, cols]`` slice comes back
+                # Fortran-ordered, which slows every round's min down the
+                # table.
+                rates = _water_fill(np.take(self._table, cols, axis=1), self._caps,
                                     self._fcaps[cols], self._weights[cols])
             diff = rates != self._rates[cols]
             if diff.any():
@@ -765,12 +789,15 @@ class FairshareState:
     def link_usage(self) -> np.ndarray:
         """Per-link allocated bytes/s under the current rates.
 
-        One dense matvec over the incidence state — the bottleneck-
-        attribution layer (``repro.sim.trace``) divides this by the
-        capacity vector to find which links are saturated at each rate
-        change. Only called when tracing is enabled.
+        One ``bincount`` over the path table — the bottleneck-attribution
+        layer (``repro.sim.trace``) divides this by the capacity vector to
+        find which links are saturated at each rate change. Only called
+        when tracing is enabled.
         """
-        return self._M @ (self._rates * self._active * self._weights)
+        table = self._table
+        on = table >= 0
+        demand = np.broadcast_to(self._rates * self._weights, table.shape)
+        return np.bincount(table[on], weights=demand[on], minlength=self._nlinks)
 
     def class_stats(self) -> Tuple[int, int]:
         """(active solver columns, total member weight across them).

@@ -26,7 +26,7 @@ as there are route classes — and flows in the same class provably receive
 identical max-min rates. The engine therefore solves in class space by
 default (``aggregate=True``): each distinct ``(route links, cap)`` key
 owns one weighted :class:`~repro.net.fairshare.FairshareState` column, a
-repeat transfer *joins* the class (a weight bump — no incidence-matrix or
+repeat transfer *joins* the class (a weight bump — no path-table or
 union-find churn), a completion *leaves* it, and a class whose last
 member left is parked at weight 0 (kept registered for cheap rejoin,
 bounded by an LRU evict). Solver dimension drops from O(flows) to
@@ -311,10 +311,15 @@ class FlowEngine:
 
         Returns an event that fires (with the :class:`Flow`) when the last
         byte *arrives* at ``dst`` — i.e. after the path drains plus one-way
-        propagation delay.
+        propagation delay. A NaN, infinite or negative ``nbytes``, or a
+        ``cap`` not above 0 (NaN included), raises ``ValueError`` before
+        anything changes.
         """
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
+        if not 0 <= nbytes < math.inf:
+            raise ValueError(f"transfer {src}->{dst}: nbytes must be finite and "
+                             f"non-negative, got {nbytes}")
+        if cap is not None and not cap > 0:
+            raise ValueError(f"transfer {src}->{dst}: cap must be positive, got {cap}")
         tcp = tcp or self.default_tcp
         links = self.network.path(src, dst)
         delay = self.network.one_way_delay(src, dst)
@@ -594,7 +599,8 @@ class FlowEngine:
         whichever cap term :func:`_cap_kind` identified at transfer time;
         otherwise the max-min property guarantees a saturated link on its
         path — attributed to the fullest one. Only called when tracing is
-        enabled; costs one matvec over the incidence state per recompute.
+        enabled; costs one ``bincount`` over the solver's path table per
+        recompute.
         """
         caps = np.asarray(self.network.link_capacities())
         if caps.size:

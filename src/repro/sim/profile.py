@@ -36,7 +36,7 @@ Counter namespaces in use:
 * ``fairshare.single_flow_solves`` — dirty components of exactly one
   live column (solved by the scalar routine like any small component);
 * ``fairshare.matrix_growths`` / ``fairshare.partition_rebuilds`` —
-  incidence-state maintenance events;
+  path-table column doublings and partition rebuilds;
 * ``nsd.coalesced_rpcs`` / ``nsd.coalesced_blocks`` — block RPCs of
   more than one block and the blocks they carried; their ratio is the
   realized coalescing factor (zero unless a mount sets

@@ -1,13 +1,17 @@
 """Unit + property tests for max-min fair allocation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.fairshare import (
+    _REL_EPS,
     FairshareState,
     _fill_scalar,
+    _path_table,
     _water_fill,
     link_utilization,
     max_min_rates,
@@ -198,21 +202,39 @@ def test_allocation_deterministic(problem):
     assert np.array_equal(a, b)
 
 
+def cap_bound(caps, path):
+    """fl(min path capacity · (1+ε)): ``_water_fill`` skips its capped test
+    when every cap lies above this."""
+    return min(caps[l] for l in path) * (1 + _REL_EPS)
+
+
 @st.composite
 def weighted_fill_problem(draw):
-    """1–25 weighted columns over shared links, with inf and near-tie caps."""
+    """1–25 weighted columns over shared links, with inf and near-tie caps.
+
+    In about half the problems every cap is ``inf``, at the capped-test
+    bound or one ulp above it, so ``_water_fill`` runs both with and
+    without the capped test.
+    """
     caps = draw(st.lists(st.one_of(st.sampled_from([1e9, 1.25e8, 100.0]),
                                    st.floats(1.0, 1e10)),
                          min_size=1, max_size=8))
+    near_bound = draw(st.booleans())
     paths, fcaps, weights = [], [], []
     for _ in range(draw(st.integers(1, 25))):
         path = sorted(draw(st.sets(st.integers(0, len(caps) - 1),
                                    min_size=1, max_size=min(4, len(caps)))))
-        # A cap at (or a hair off) a fair share k ways of a link on the path.
-        tie = caps[draw(st.sampled_from(path))] / draw(st.integers(1, 40))
-        fcaps.append(draw(st.one_of(
-            st.sampled_from([INF, tie, tie * (1 + 5e-10), tie * (1 - 5e-10)]),
-            st.floats(0.5, 1e10))))
+        bound = cap_bound(caps, path)
+        at_bound = [bound, math.nextafter(bound, INF)]
+        if near_bound:
+            fcaps.append(draw(st.sampled_from([INF] + at_bound)))
+        else:
+            # A cap at (or a hair off) a fair share k ways of a link on the path.
+            tie = caps[draw(st.sampled_from(path))] / draw(st.integers(1, 40))
+            fcaps.append(draw(st.one_of(
+                st.sampled_from([INF, tie, tie * (1 + 5e-10), tie * (1 - 5e-10)]
+                                + at_bound),
+                st.floats(0.5, 1e10))))
         weights.append(float(draw(st.integers(1, 23))))
         paths.append(path)
     return caps, paths, fcaps, weights
@@ -223,9 +245,25 @@ def weighted_fill_problem(draw):
 def test_scalar_fill_matches_numpy_bit_for_bit(problem):
     """Both solvers, called directly at any size, return the same bits."""
     caps, paths, fcaps, weights = problem
-    M = np.zeros((len(caps), len(paths)), dtype=bool)
-    for col, path in enumerate(paths):
-        M[path, col] = True
-    want = _water_fill(M, np.asarray(caps), np.asarray(fcaps), np.asarray(weights))
+    want = _water_fill(_path_table(paths), np.asarray(caps), np.asarray(fcaps),
+                       np.asarray(weights))
     got = _fill_scalar(paths, caps, fcaps, weights)
     assert [repr(r) for r in got] == [repr(r) for r in want.tolist()]
+
+
+def test_capped_test_skip_flips_exactly_at_the_bound():
+    """A cap at the bound still binds; one ulp above it, the link does.
+
+    Alone on its link, a column's share is the link's capacity, so a cap
+    at fl(capacity · (1+ε)) passes the capped test and the column gets
+    its cap, a hair above the capacity. ``_water_fill`` must run the test
+    there and may skip it only from one ulp up.
+    """
+    cap = 1e8
+    bound = cap_bound([cap], [0])
+    paths = [[l] for l in range(17)]  # one column per link
+    for fcap, want in ((bound, bound), (math.nextafter(bound, INF), cap)):
+        got = _water_fill(_path_table(paths), np.full(17, cap), np.full(17, fcap),
+                          np.ones(17))
+        assert got.tolist() == [want] * 17
+        assert _fill_scalar([[0]], [cap], [fcap], [1.0]) == [want]

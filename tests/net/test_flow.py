@@ -96,6 +96,28 @@ class TestSingleFlow:
         with pytest.raises(ValueError):
             eng.transfer("a", "b", -1)
 
+    @pytest.mark.parametrize("kwargs, what", [
+        ({"nbytes": float("nan")}, "nbytes must be finite and non-negative, got nan"),
+        ({"nbytes": float("inf")}, "nbytes must be finite and non-negative, got inf"),
+        ({"nbytes": -1.0}, "nbytes must be finite and non-negative, got -1.0"),
+        ({"cap": float("nan")}, "cap must be positive, got nan"),
+        ({"cap": 0.0}, "cap must be positive, got 0.0"),
+        ({"cap": -5.0}, "cap must be positive, got -5.0"),
+    ], ids=["nan-bytes", "inf-bytes", "negative-bytes", "nan-cap", "zero-cap",
+            "negative-cap"])
+    def test_bad_transfer_rejected_before_any_state_changes(self, kwargs, what):
+        net = line(rate=MB(100))
+        sim, eng = make_engine(net)
+        args = {"nbytes": MB(100), "tags": ("t",), **kwargs}
+        with pytest.raises(ValueError, match=f"transfer a->b: {what}"):
+            eng.transfer("a", "b", **args)
+        assert eng.active_count == 0
+        evt = eng.transfer("a", "b", MB(100), tags=("t",))
+        sim.run(until=evt)
+        assert sim.now == pytest.approx(1.0)
+        assert eng.completed_flows == 1
+        assert eng.tag_rate_series("t").values[-2:] == [MB(100), 0.0]
+
     def test_counters(self):
         net = line(rate=MB(100))
         sim, eng = make_engine(net)

@@ -66,6 +66,29 @@ class TestLifecycle:
         st.solve()
         assert st.rate_of(c0) == pytest.approx(30.0)
 
+    def test_solve_over_a_link_without_capacity_names_it(self):
+        # add_flow grows the link set; until set_link_caps covers the new
+        # links, a solve that needs one says which. Both solvers.
+        for n in (1, fairshare._SCALAR_MAX_COLS + 1):
+            st = FairshareState([100.0])
+            cols = [st.add_flow([0, 2], INF) for _ in range(n)]
+            with pytest.raises(ValueError, match="link 2 has no capacity"):
+                st.solve()
+            st.set_link_caps([100.0, 50.0, 30.0])
+            moved, _ = st.solve()
+            assert sorted(moved.tolist()) == cols
+            assert [st.rate_of(c) for c in cols] == [30.0 / n] * n
+
+    def test_uncovered_link_no_live_column_needs_is_not_an_error(self):
+        st = FairshareState([100.0])
+        gone = st.add_flow([3], INF)
+        parked = st.add_flow([0, 2], INF)
+        st.set_weight(parked, 0)
+        st.remove_flow(gone)
+        kept = st.add_flow([0], INF)
+        st.solve()
+        assert st.rate_of(kept) == 100.0
+
     def test_link_removal_rejected(self):
         st = FairshareState([100.0, 100.0])
         with pytest.raises(ValueError):
@@ -268,13 +291,19 @@ class TestSolverDispatch:
     ):
         """Live columns grow past the limit, get parked below it, rejoin
         and leave; every solve takes the path its *live* count selects
-        and returns the bits of a from-scratch weighted solve."""
+        and returns the bits of a from-scratch weighted solve. The numpy
+        solver gets the live columns' slice of the path table, C-ordered."""
         seen = []
         fill, water = fairshare._fill_scalar, fairshare._water_fill
+
+        def numpy_fill(table, *rest):
+            seen.append(("numpy", table.flags.c_contiguous,
+                         [[l for l in col if l >= 0] for col in table.T.tolist()]))
+            return water(table, *rest)
+
         monkeypatch.setattr(fairshare, "_fill_scalar",
-                            lambda *a: seen.append("scalar") or fill(*a))
-        monkeypatch.setattr(fairshare, "_water_fill",
-                            lambda *a: seen.append("numpy") or water(*a))
+                            lambda *a: seen.append(("scalar",)) or fill(*a))
+        monkeypatch.setattr(fairshare, "_water_fill", numpy_fill)
         limit = fairshare._SCALAR_MAX_COLS
         caps = [1e9, 4e8, 2.5e8, 1e8]
         # Every path crosses link 0: one component throughout.
@@ -286,7 +315,10 @@ class TestSolverDispatch:
             live = sorted(c for c, (_, _, w) in flows.items() if w)
             seen.clear()
             st.solve()
-            assert seen == ["scalar" if len(live) <= limit else "numpy"]
+            if len(live) <= limit:
+                assert seen == [("scalar",)]
+            else:
+                assert seen == [("numpy", True, [flows[c][0] for c in live])]
             want = max_min_rates(caps, [flows[c][0] for c in live],
                                  [flows[c][1] for c in live],
                                  [flows[c][2] for c in live])
@@ -310,3 +342,50 @@ class TestSolverDispatch:
             st.remove_flow(col)
             del flows[col]
             check()
+
+
+class TestPathTable:
+    def test_growth_and_slot_reuse_match_stateless(self):
+        """The table grows columns, then a row for a path longer than any
+        before; the link set grows; a removed column's slot is reused by a
+        shorter path. Every solve has more live columns than the scalar
+        limit and returns the bits of a from-scratch weighted solve."""
+        caps = [1e9, 4e8, 2.5e8, 1e8]
+        st = FairshareState(caps, capacity=4)
+        flows = {}  # col -> (path, fcap, weight)
+
+        def add(path, fcap, weight):
+            col = st.add_flow(path, fcap, weight=weight)
+            flows[col] = (path, fcap, weight)
+            return col
+
+        def check():
+            st.solve()
+            cols = sorted(flows)
+            want = max_min_rates(caps, [flows[c][0] for c in cols],
+                                 [flows[c][1] for c in cols],
+                                 [flows[c][2] for c in cols])
+            got = [st.rate_of(c) for c in cols]
+            assert [repr(r) for r in got] == [repr(r) for r in want.tolist()]
+            usage = np.zeros(len(caps))
+            for c in cols:
+                usage[flows[c][0]] += st.rate_of(c) * flows[c][2]
+            np.testing.assert_allclose(st.link_usage(), usage, rtol=1e-12)
+
+        # Every path crosses link 0: one component throughout.
+        paths = [[0], [0, 1], [0, 2]]
+        for i in range(fairshare._SCALAR_MAX_COLS + 3):
+            add(paths[i % 3], INF if i % 4 else 2e7 + i, i % 3 + 1)
+        check()
+        assert st.capacity == 32
+        long = add([0, 1, 2, 3], INF, 2)
+        check()
+        caps += [3e8, 2e8]
+        add([5, 0, 4], 5e7, 1)
+        st.set_link_caps(caps)
+        check()
+        st.remove_flow(long)
+        del flows[long]
+        check()
+        assert add([0], 9e7, 3) == long  # the slot is reused, shorter path
+        check()

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.net import FlowEngine, Network, TcpModel
-from repro.net.fairshare import FairshareState, max_min_rates
+from repro.net.fairshare import FairshareState, _path_table, _water_fill, max_min_rates
 from repro.sim import Simulation
 from repro.util.units import GB, MB
 
@@ -92,7 +92,9 @@ def test_drain_order_is_by_rate_not_by_column():
 
     Subtracting them from the link in column order leaves a remainder
     that depends on the order, and the uncapped flow gets that
-    remainder. Every column order must give the same bits.
+    remainder. Every column order must give the same bits, from both
+    solvers: ``max_min_rates`` sends four columns to the scalar one, so
+    the numpy one is also called directly.
     """
     link = 624_020_552.04
     fcaps = [132_219_273.71, 119_176_387.38, 39_866_571.66, float("inf")]
@@ -101,9 +103,13 @@ def test_drain_order_is_by_rate_not_by_column():
     assert len(remainders) > 1  # the case really is order-sensitive
     rates = max_min_rates([link], [[0]] * 4, fcaps)
     assert list(rates[:3]) == fcaps[:3]
+    table = _path_table([[0]] * 4)
     for perm in itertools.permutations(range(4)):
         permuted = max_min_rates([link], [[0]] * 4, [fcaps[i] for i in perm])
         assert permuted.tobytes() == rates[list(perm)].tobytes(), perm
+        direct = _water_fill(table, np.array([link]),
+                             np.array([fcaps[i] for i in perm]), np.ones(4))
+        assert direct.tobytes() == rates[list(perm)].tobytes(), perm
 
 
 @settings(max_examples=80, deadline=None,
