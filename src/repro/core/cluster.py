@@ -92,9 +92,9 @@ class Gfs:
         self.node_cluster: Dict[str, str] = {}
         self._crypto_pipes: Dict[str, object] = {}
         if OBS.enabled:
-            from repro.obs.wire import attach_gfs
+            from repro.obs.collect import start_collector
 
-            attach_gfs(self)
+            start_collector(self.sim)
 
     def add_cluster(self, name: str, site: str = "") -> "Cluster":
         if name in self.clusters:

@@ -96,8 +96,9 @@ def _mount_remote(importing, local_device, node, identity, access, mount_kwargs,
         )
 
     # "distributes the information that the remote cluster has authenticated
-    # to all NSD server nodes" — one fan-out message per server.
-    server_nodes = {srv.node for srv in fs.service.servers.values()}
+    # to all NSD server nodes" — one fan-out message per server, in NSD
+    # order (a set's order would follow the interpreter's hash seed).
+    server_nodes = dict.fromkeys(srv.node for srv in fs.service.servers.values())
     for server_node in server_nodes:
         yield gfs.messages.send(contact, server_node, nbytes=256)
 

@@ -34,7 +34,6 @@ from repro.net.message import MessageService
 from repro.net.tcp import TcpModel
 from repro.obs.registry import OBS
 from repro.sim.kernel import Event, Simulation
-from repro.sim.profile import PROFILE
 from repro.sim.trace import TRACE
 from repro.storage.array import Lun
 from repro.storage.san import Hba
@@ -423,15 +422,12 @@ class NsdService:
 
     def _guard(self, server: NsdServer):
         """Returns ``None`` while ``server``'s node is up — the fault-free
-        fast path, no generator built at all (counter
-        ``kernel.guard_fastpath`` proves it) — otherwise a generator that
+        fast path, no generator built at all — otherwise a generator that
         parks until the lease detector declares the node down (or it
         restarts), then raises :class:`NsdServerDown` so the retry layer
         can fail over. Call sites ``yield from`` only the non-None case.
         """
         if self.health is None or self.health.is_up(server.node):
-            if PROFILE.enabled:
-                PROFILE.count("kernel.guard_fastpath")
             return None
         return self._guard_park(server)
 
@@ -454,8 +450,6 @@ class NsdService:
         """
         part = self.partition
         if part is None or not part.severed(client_node, server_node):
-            if PROFILE.enabled:
-                PROFILE.count("kernel.guard_fastpath")
             return None
         return self._partition_park(client_node, server_node)
 
@@ -610,9 +604,6 @@ class NsdService:
         for _phys, _offset, data in extents:
             total += data if isinstance(data, int) else len(data)
         blocks = len(extents)
-        if PROFILE.enabled and blocks > 1:
-            PROFILE.count("nsd.coalesced_rpcs")
-            PROFILE.count("nsd.coalesced_blocks", blocks)
         # Tracing decision is taken once per RPC so begin/end always pair.
         tr = TRACE if TRACE.enabled else None
         lane = f"nsd:{server.name}" if tr else ""
@@ -690,9 +681,6 @@ class NsdService:
         for _phys, _offset, length in extents:
             total += length
         blocks = len(extents)
-        if PROFILE.enabled and blocks > 1:
-            PROFILE.count("nsd.coalesced_rpcs")
-            PROFILE.count("nsd.coalesced_blocks", blocks)
         tr = TRACE if TRACE.enabled else None
         lane = f"nsd:{server.name}" if tr else ""
         rpc = tr.begin(

@@ -6,12 +6,15 @@ Usage::
     python -m repro.experiments.report --quick    # scaled-down, a few min
     python -m repro.experiments.report --only E1 E8 A3
     python -m repro.experiments.report --out report.txt
-    python -m repro.experiments.report --quick --profile   # + solver counters
+    python -m repro.experiments.report --quick --profile   # + simulator counters
     python -m repro.experiments.report --quick --profile-json prof.json
     python -m repro.experiments.report --quick --trace-dir traces/
 
-``--profile-json`` writes ``PROFILE.snapshot()`` per experiment as JSON
-(machine-readable counterpart of ``--profile``'s text table).
+``--profile`` runs every experiment with the :data:`repro.obs.OBS`
+registry enabled and prints each counter family's total over the run
+(kernel events, flow recomputes, solver rows, NSD blocks and RPCs), under
+the metrics export's family names. ``--profile-json`` writes the same
+totals per experiment as JSON (:func:`repro.obs.export.profile_snapshot`).
 ``--trace-dir`` runs every experiment under the flight recorder, writes
 ``<id>.trace.json`` Chrome traces into the directory, and embeds each
 run's bottleneck-attribution summary in its report section.
@@ -140,10 +143,10 @@ def main(argv=None) -> int:
                         help="run only these experiment ids (e.g. E1 A3)")
     parser.add_argument("--out", metavar="FILE", help="also write to FILE")
     parser.add_argument("--profile", action="store_true",
-                        help="collect and print simulator self-profiling "
+                        help="print the simulator's counter totals "
                              "(kernel events, solver work) per experiment")
     parser.add_argument("--profile-json", metavar="FILE",
-                        help="write PROFILE.snapshot() per experiment as "
+                        help="write the counter totals per experiment as "
                              "JSON to FILE (implies profiling)")
     parser.add_argument("--trace-dir", metavar="DIR",
                         help="run under the flight recorder; write "
@@ -162,16 +165,16 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown experiment ids {unknown}; known: {list(registry)}")
 
-    from repro.sim.profile import PROFILE
     from repro.sim.trace import TRACE
 
     profiling = args.profile or args.profile_json is not None
+    telemetry = profiling or args.metrics_dir
     if args.trace_dir:
         os.makedirs(args.trace_dir, exist_ok=True)
     if args.metrics_dir:
         os.makedirs(args.metrics_dir, exist_ok=True)
 
-    from repro.obs import OBS, export_metrics_dir
+    from repro.obs import OBS, export_metrics_dir, profile_snapshot
 
     sections = []
     profile_snapshots: Dict[str, dict] = {}
@@ -179,23 +182,19 @@ def main(argv=None) -> int:
         label, thunk = registry[exp_id]
         t0 = time.time()
         print(f"[{exp_id}] {label} ...", file=sys.stderr, flush=True)
-        if profiling:
-            PROFILE.reset()
-            PROFILE.enable()
         if args.trace_dir:
             TRACE.enable()
-        if args.metrics_dir:
+        if telemetry:
             OBS.reset()
             OBS.enable()
         try:
             result = thunk()
         finally:
-            PROFILE.disable()
             TRACE.disable()
             OBS.disable()
         elapsed = time.time() - t0
         if profiling:
-            profile_snapshots[exp_id] = PROFILE.snapshot()
+            profile_snapshots[exp_id] = profile_snapshot(OBS)
         if args.trace_dir:
             result.trace_summary = TRACE.metrics_snapshot()
             trace_path = os.path.join(args.trace_dir, f"{exp_id}.trace.json")
@@ -206,12 +205,13 @@ def main(argv=None) -> int:
             paths = export_metrics_dir(
                 OBS, args.metrics_dir, exp_id, meta=result.obs or {}
             )
-            OBS.reset()
             print(f"[{exp_id}] metrics -> {paths['prom']}",
                   file=sys.stderr, flush=True)
+        if telemetry:
+            OBS.reset()  # drop the callbacks holding this run's universes
         section = format_result(result) + f"\n({elapsed:.1f}s wall)"
         if args.profile:
-            section += "\n" + PROFILE.report()
+            section += "\n" + _profile_table(profile_snapshots[exp_id])
         sections.append(section)
 
     report = ("\n\n" + "=" * 72 + "\n\n").join(sections)
@@ -226,6 +226,15 @@ def main(argv=None) -> int:
         print(f"profile counters written to {args.profile_json}",
               file=sys.stderr)
     return 0
+
+
+def _profile_table(snap: dict) -> str:
+    """``--profile``'s text table: one line per counter family."""
+    lines = ["-- profile --"]
+    for family, total in snap["counters"].items():
+        shown = f"{int(total):,}" if float(total).is_integer() else f"{total:,.3f}"
+        lines.append(f"  {family:<36} {shown:>18}")
+    return "\n".join(lines)
 
 
 def run_trace(exp_id: str, out: str, quick: bool = False) -> int:

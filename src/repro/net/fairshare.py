@@ -105,8 +105,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.sim.profile import PROFILE
-
 #: Relative tolerance when comparing rates.
 _REL_EPS = 1e-9
 
@@ -473,8 +471,7 @@ class FairshareState:
         #: columns rated outside solve() (pathless flows), reported once.
         self._fresh: List[int] = []
         self._removals = 0
-        #: Always-on solve counters (scraped by repro.obs; PROFILE keeps
-        #: the opt-in fine-grained versions).
+        #: Always-on solve counters, scraped by repro.obs.
         self.solves = 0
         self.solved_rows = 0
         self.single_flow_solves = 0
@@ -520,7 +517,6 @@ class FairshareState:
     def _grow_cols(self) -> None:
         old = self._table.shape[1]
         new = max(2 * old, 1)
-        PROFILE.count("fairshare.matrix_growths")
         self._table = np.pad(self._table, ((0, 0), (0, new - old)),
                              constant_values=-1)
         # np.pad appends zeros (False) and keeps each array's dtype.
@@ -688,7 +684,6 @@ class FairshareState:
 
     def _rebuild_partition(self) -> None:
         """Recompute components from the active flows (undoes coarsening)."""
-        PROFILE.count("fairshare.partition_rebuilds")
         dirty_cols = [c for r in self._dirty for c in self._comp_cols.get(r, ())]
         self._parent = list(range(self._nlinks))
         self._size = [1] * self._nlinks
@@ -757,12 +752,9 @@ class FairshareState:
                 continue
             if n == 1:
                 self.single_flow_solves += 1
-                PROFILE.count("fairshare.single_flow_solves")
             else:
                 self.solves += 1
                 self.solved_rows += n
-                PROFILE.count("fairshare.solves")
-                PROFILE.count("fairshare.solved_rows", n)
             cols = np.sort(live_cols)
             if n <= _SCALAR_MAX_COLS:
                 paths = self._paths

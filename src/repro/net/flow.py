@@ -63,8 +63,8 @@ from repro.net import fairshare
 from repro.net.fairshare import FairshareState
 from repro.net.tcp import TcpModel
 from repro.net.topology import Network
+from repro.obs.registry import OBS
 from repro.sim.kernel import Event, Simulation
-from repro.sim.profile import PROFILE
 from repro.sim.trace import TRACE
 from repro.util.timeseries import TimeSeries
 from repro.util.units import GB
@@ -254,10 +254,12 @@ class FlowEngine:
         self.flows: Dict[Flow, None] = {}
         self.bytes_moved = 0.0
         self.completed_flows = 0
-        #: Always-on solver-churn counters (scraped by repro.obs; the
-        #: finer-grained PROFILE counters stay opt-in). ``rate_changes``
-        #: counts member flows whose rate moved (mode-independent).
+        #: Always-on solver-churn counters, scraped by repro.obs.
+        #: ``active_rows`` sums the flows each recompute saw (what a
+        #: non-incremental engine would re-solve); ``rate_changes`` counts
+        #: member flows whose rate moved (mode-independent).
         self.recomputes = 0
+        self.active_rows = 0
         self.rate_changes = 0
         #: Route-class registry health: transfers absorbed by a weight
         #: bump on an existing class (no solver-column churn).
@@ -295,6 +297,10 @@ class FlowEngine:
         self._timer_token = 0
         self._next_seq = 0
         network.subscribe_rate_changes(self._on_link_rate_change)
+        if OBS.enabled:
+            from repro.obs.wire import attach_engine
+
+            attach_engine(self)
 
     # -- public API -----------------------------------------------------------
 
@@ -472,8 +478,6 @@ class FlowEngine:
                 del self._parked[key]
             self._state.set_weight(cls.col, w + 1)
             self.class_joins += 1
-            if PROFILE.enabled:
-                PROFILE.count("flowengine.class_joins")
         if not cls.members:
             self.live_classes += 1
         return cls
@@ -516,9 +520,7 @@ class FlowEngine:
         self._recompute_pending = False
         now = self.sim.now
         self.recomputes += 1
-        if PROFILE.enabled:
-            PROFILE.count("flowengine.recomputes")
-            PROFILE.count("flowengine.active_rows", len(self.flows))
+        self.active_rows += len(self.flows)
         self._finish_drained(now)
         if self.flows:
             self._state.set_link_caps(self.network.link_capacities())
@@ -557,8 +559,6 @@ class FlowEngine:
                     old_rates = old_rates[moved]
                     new_rates = new_rates[moved]
                     self.rate_changes += int(slots.size)
-                    if PROFILE.enabled:
-                        PROFILE.count("flowengine.rate_changes", slots.size)
                     # Materialize residuals for exactly the flows whose
                     # rate changed (their old rate held from _last_t until
                     # now)...

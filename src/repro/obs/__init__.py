@@ -1,9 +1,10 @@
 """Unified telemetry: metrics registry, scrape pipeline, SLOs, health.
 
-The observability layer the paper's measurement story implies (and the
-ROADMAP's production north star demands), unifying the repo's previously
-fragmented signals — Profile counters, Tracer spans, Monitor rate
-meters, ad-hoc subsystem counters — behind one queryable surface:
+The observability layer the paper's measurement story implies: the
+simulator's one counter registry. Every counter is an attribute of the
+object that does the work (kernel, flow engine, solver, NSD service,
+clients, gateways) and is read only through :data:`OBS`; span tracing
+stays with :data:`repro.sim.trace.TRACE`.
 
 * :mod:`repro.obs.metrics` — Counter / Gauge / Histogram primitives
   (log-bucketed latency histograms with p50/p95/p99/p999);
@@ -11,12 +12,14 @@ meters, ad-hoc subsystem counters — behind one queryable surface:
   (disabled by default; one attribute check on the hot path);
 * :mod:`repro.obs.collect` — sim-clock scrape collector;
 * :mod:`repro.obs.export` — Prometheus-text + JSONL exporters, schema
-  validators, and the shared trace/profile snapshot serializers;
+  validators, the trace snapshot serializer, and the per-family counter
+  totals behind ``report --profile``;
 * :mod:`repro.obs.slo` — latency/availability objectives with
   error-budget burn rates over sliding sim-time windows;
 * :mod:`repro.obs.health` — ``python -m repro health`` fleet report;
-* :mod:`repro.obs.wire` — one-call attachment of kernel, flow engine,
-  NSD services, tokens, scrub, HSM, and fault detectors.
+* :mod:`repro.obs.wire` — attachment of kernel and flow engine (every
+  ``FlowEngine`` attaches itself), NSD services, tokens, scrub, HSM,
+  pagepools, gateways, and fault detectors.
 
 Everything is derived from sim-clock state only: same seed, same bytes.
 """
@@ -37,6 +40,7 @@ from repro.obs.collect import Collector, start_collector
 from repro.obs.export import (
     SchemaError,
     export_metrics_dir,
+    profile_snapshot,
     read_jsonl,
     to_prometheus,
     validate_jsonl,
@@ -52,6 +56,7 @@ __all__ = [
     "Collector",
     "SchemaError",
     "export_metrics_dir",
+    "profile_snapshot",
     "read_jsonl",
     "start_collector",
     "to_prometheus",

@@ -10,11 +10,11 @@ This is the repo's **one serialization path** for metrics-shaped data:
 * :func:`export_metrics_dir` — everything an experiment emits into
   ``--metrics-dir``: ``<id>.prom``, ``<id>.metrics.jsonl``,
   ``<id>.meta.json``;
-* :func:`trace_snapshot` / :func:`profile_snapshot` — the summary
-  dictionaries that :meth:`repro.sim.trace.Tracer.metrics_snapshot` and
-  :meth:`repro.sim.profile.Profile.snapshot` now delegate to, so the
-  trace/profile JSON consumed by ``report --profile-json`` and the CI
-  validators share this module's schema definitions;
+* :func:`trace_snapshot` — the summary dictionary that
+  :meth:`repro.sim.trace.Tracer.metrics_snapshot` delegates to;
+* :func:`profile_snapshot` — per-family counter totals over a registry
+  reading, under the export's family names: what ``report --profile``
+  prints and ``--profile-json`` writes;
 * ``validate_*`` — structural checks mirrored by the checked-in schema
   document ``docs/schemas/metrics_v1.json`` (a test asserts the two
   stay in sync); CI runs them against the quick-report artifacts.
@@ -338,10 +338,10 @@ def validate_metrics_dir(path: str) -> Dict[str, dict]:
     return out
 
 
-# -- trace / profile snapshot dedup ------------------------------------------
-# These are THE bodies of Tracer.metrics_snapshot and Profile.snapshot;
-# the sim-layer methods are thin delegating shims so every metrics-shaped
-# JSON artifact in the repo is produced (and validated) here.
+# -- trace / profile snapshots -----------------------------------------------
+# trace_snapshot is the body of Tracer.metrics_snapshot, which only
+# delegates, so every metrics-shaped JSON artifact in the repo is produced
+# (and validated) here.
 
 
 def trace_snapshot(tracer) -> dict:
@@ -368,12 +368,15 @@ def trace_snapshot(tracer) -> dict:
     }
 
 
-def profile_snapshot(profile) -> dict:
-    """Summary dict for a :class:`repro.sim.profile.Profile`."""
-    return {
-        "counters": dict(profile.counters),
-        "timers": dict(profile.timers),
-    }
+def profile_snapshot(registry: MetricsRegistry) -> dict:
+    """``{"counters": {family: total}}``: each counter family of one
+    registry reading summed over its label sets (every universe, server
+    and client the run built)."""
+    totals: Dict[str, float] = {}
+    for key, value in registry.read()["counters"].items():
+        family = parse_key(key)[0]
+        totals[family] = totals.get(family, 0.0) + value
+    return {"counters": dict(sorted(totals.items()))}
 
 
 def validate_trace_snapshot(doc: dict) -> None:
@@ -388,6 +391,10 @@ def validate_trace_snapshot(doc: dict) -> None:
 
 def validate_profile_snapshot(doc: dict) -> None:
     """Structural check of a profile snapshot (CI artifact)."""
-    for field in ("counters", "timers"):
-        if not isinstance(doc.get(field), dict):
-            raise SchemaError(f"profile snapshot field {field!r} not an object")
+    if set(doc) != {"counters"} or not isinstance(doc["counters"], dict):
+        raise SchemaError("profile snapshot must be {'counters': {...}}")
+    for family, total in doc["counters"].items():
+        if "{" in family or not isinstance(total, (int, float)):
+            raise SchemaError(
+                f"profile counter {family!r}: want a family name and a number"
+            )

@@ -1,7 +1,7 @@
 """Process-wide metrics registry and the :data:`OBS` singleton.
 
-Mirrors the ``PROFILE``/``TRACE`` pattern (`repro.sim.profile`,
-`repro.sim.trace`): one module-level singleton, disabled by default, and
+The simulator's one counter registry. Mirrors the ``TRACE`` pattern
+(`repro.sim.trace`): one module-level singleton, disabled by default, and
 every hot call site guards with ``if OBS.enabled: ...`` so the disabled
 cost is a single attribute check.
 
@@ -16,10 +16,13 @@ reads of state the subsystems already maintain (kernel heap depth,
 flow-engine counters, link utilization). Callbacks are only invoked at
 scrape time, so instrumenting the kernel costs nothing per event.
 
-Scrapes are rows of ``{"t": sim.now, "counters": ..., "gauges": ...,
-"histograms": ...}`` accumulated in ``registry.rows`` and serialized by
-:mod:`repro.obs.export`. Nothing here reads a wall clock; two runs with
-the same seed scrape bit-identical rows.
+:meth:`MetricsRegistry.read` returns the current value of every metric.
+A scrape is that reading stamped as a row, ``{"t": sim.now, "counters":
+..., "gauges": ..., "histograms": ...}``, accumulated in
+``registry.rows`` and serialized by :mod:`repro.obs.export`;
+``report --profile`` totals one reading per experiment instead. Nothing
+here reads a wall clock; two runs with the same seed scrape
+bit-identical rows.
 """
 
 from __future__ import annotations
@@ -168,8 +171,9 @@ class MetricsRegistry:
 
     # -- scraping ----------------------------------------------------------
 
-    def scrape(self, sim) -> dict:
-        """Snapshot every metric at ``sim.now`` and append a row."""
+    def read(self) -> dict:
+        """Current value of every metric: ``{"counters", "gauges",
+        "histograms"}``, each keyed canonically. Appends no row."""
         counters: Dict[str, float] = {}
         gauges: Dict[str, float] = {}
         histograms: Dict[str, dict] = {}
@@ -190,15 +194,12 @@ class MetricsRegistry:
                 counters[key] = float(v)
             for key, v in out.get("gauges", {}).items():
                 gauges[key] = float(v)
-        row = {
-            "schema": SCHEMA,
-            "kind": "scrape",
-            "t": sim.now,
-            "sim": _pid(sim),
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-        }
+        return {"counters": counters, "gauges": gauges, "histograms": histograms}
+
+    def scrape(self, sim) -> dict:
+        """Snapshot every metric at ``sim.now`` and append a row."""
+        row = {"schema": SCHEMA, "kind": "scrape", "t": sim.now, "sim": _pid(sim)}
+        row.update(self.read())
         self.rows.append(row)
         return row
 
@@ -207,5 +208,5 @@ class MetricsRegistry:
 
 
 #: The process-wide registry. Disabled by default; ``repro report
-#: --metrics-dir`` and experiment wiring enable it.
+#: --metrics-dir`` / ``--profile`` and experiment wiring enable it.
 OBS = MetricsRegistry()

@@ -2,15 +2,20 @@
 
 Each ``attach_*`` function registers scrape-time callbacks over counters
 the subsystem already maintains — attaching changes nothing about how
-the simulation runs, it only makes existing state scrapeable. Call sites
-(`Gfs.__init__`, ``mmcrfs``, Scrubber/HsmManager constructors) guard
-with ``OBS.enabled`` so a disabled registry costs one attribute check.
+the simulation runs, it only makes existing state scrapeable. Each
+counter is kept once, as an attribute of the object doing the work, and
+read only here. Call sites (``FlowEngine.__init__``, ``mmcrfs``,
+Scrubber/HsmManager constructors) guard with ``OBS.enabled`` so a
+disabled registry costs one attribute check. ``Gfs.__init__`` only
+starts the universe's scrape collector.
 
 Naming conventions (the families ``repro health`` rolls up live in
 :mod:`repro.obs.health`):
 
-* ``kernel.*{sim=<pid>}`` — event churn, heap depth, timeout pool;
-* ``flow.*`` / ``fairshare.*`` — recomputes, completed flows, solves;
+* ``kernel.*{sim=<pid>}`` — scheduled events (``Simulation._seq``) and
+  heap depth;
+* ``flow.*`` / ``fairshare.*`` — recomputes, active rows, completed
+  flows, solves;
 * ``net.link.utilization{link=...}`` — per-link used fraction;
 * ``nsd.*{fs=...}`` — service counters; RPC latency histograms are
   recorded inline by the service (``nsd.rpc.latency{op=...}``);
@@ -31,20 +36,22 @@ from repro.obs.metrics import canonical_key
 from repro.obs.registry import OBS, _pid
 
 
-def attach_gfs(gfs, interval: float = None) -> None:
-    """Wire one :class:`~repro.core.cluster.Gfs` universe + its collector."""
-    sim = gfs.sim
-    engine = gfs.engine
+def attach_engine(engine) -> None:
+    """Wire a :class:`~repro.net.flow.FlowEngine` and its simulation's kernel.
+
+    Every engine attaches, the bare ones a sweep builds per cell included,
+    so the kernel, flow and fair-share families cover every universe.
+    """
+    sim = engine.sim
     pid = str(_pid(sim))
 
     def kernel_multi() -> dict:
-        # Deliberately NOT exported: kernel.timeout_pool_hits and the pool
-        # depth. Recycling is gated on ``sys.getrefcount(t) == 2``, and a
-        # timeout caught in a reference cycle stays above that until the
-        # cyclic GC happens to run — a process-global, allocation-driven
+        # Deliberately NOT exported: Simulation.timeout_pool_hits and the
+        # pool depth. Recycling is gated on ``sys.getrefcount(t) == 2``,
+        # and a timeout caught in a reference cycle stays above that until
+        # the cyclic GC happens to run — a process-global, allocation-driven
         # trigger. The counters are faithful but not same-seed
-        # deterministic, and exports promise bit-identical artifacts;
-        # ``--profile`` still surfaces them as diagnostics.
+        # deterministic, and exports promise bit-identical artifacts.
         return {
             "counters": {
                 canonical_key("kernel.events", {"sim": pid}):
@@ -65,6 +72,8 @@ def attach_gfs(gfs, interval: float = None) -> None:
                 float(engine.completed_flows),
             canonical_key("flow.recomputes", sim_l):
                 float(engine.recomputes),
+            canonical_key("flow.active_rows", sim_l):
+                float(engine.active_rows),
             canonical_key("flow.rate_changes", sim_l):
                 float(engine.rate_changes),
             canonical_key("fairshare.solves", sim_l): float(state.solves),
@@ -94,10 +103,6 @@ def attach_gfs(gfs, interval: float = None) -> None:
 
     OBS.register_multi(kernel_multi)
     OBS.register_multi(engine_multi)
-
-    from repro.obs.collect import Collector
-
-    Collector(sim, OBS, interval).start()
 
 
 def attach_service(service, fs: str = "") -> None:

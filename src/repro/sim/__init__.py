@@ -32,8 +32,6 @@ from repro.sim.kernel import (
 )
 from repro.sim.resources import Resource, PriorityResource, Store, Container
 from repro.sim.rand import RngRegistry
-from repro.sim.monitor import Monitor, Gauge
-from repro.sim.profile import Profile, PROFILE
 from repro.sim.trace import Tracer, TRACE, FlowRecord
 
 __all__ = [
@@ -50,10 +48,6 @@ __all__ = [
     "Store",
     "Container",
     "RngRegistry",
-    "Monitor",
-    "Gauge",
-    "Profile",
-    "PROFILE",
     "Tracer",
     "TRACE",
     "FlowRecord",

@@ -33,15 +33,19 @@ used; see ``tests/property/test_kernel_order.py``):
   entry (no :class:`Event`, no closure);
 * zero-and-low-delay :class:`Timeout` sequencers are recycled through a
   small pool when provably unreferenced (``sys.getrefcount``), skipping
-  object construction entirely (profile counter
-  ``kernel.timeout_pool_hits``).
+  object construction entirely (counted in
+  :attr:`Simulation.timeout_pool_hits`, which no export reads: whether a
+  timeout is unreferenced depends on when the cyclic GC last ran).
 
-Scheduling-boundary validation: negative delays are rejected with a clear
-error *at the call that supplied them* (:meth:`Simulation._enqueue`,
-:meth:`Simulation.schedule_callback`, :class:`Timeout`), naming the event —
-previously they surfaced later as "time went backwards (kernel bug)" far
-from the offending caller. That boundary check is also what lets the run
-loops drop the per-event monotonicity re-check.
+Scheduling-boundary validation: negative and NaN delays are rejected with
+a clear error *at the call that supplied them*
+(:meth:`Simulation.timeout`, :meth:`Simulation.schedule_callback`,
+:class:`Timeout`), naming the timeout or callback — previously they
+surfaced later as "time went backwards (kernel bug)" far from the
+offending caller, or, for NaN, not at all: a NaN heap key breaks the heap
+order silently. Each check is the one comparison ``not delay >= 0``,
+true for a negative delay and for NaN. That boundary check is also what
+lets the run loops drop the per-event monotonicity re-check.
 """
 
 from __future__ import annotations
@@ -51,8 +55,6 @@ from heapq import heappop, heappush
 from sys import getrefcount as _getrefcount
 from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable, Optional
-
-from repro.sim.profile import PROFILE
 
 #: Priority for ordinary events.
 NORMAL = 1
@@ -181,8 +183,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulation", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay}")
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN timeout delay {delay}")
         # Inlined Event.__init__ (hot path): a Timeout is born triggered.
         self.sim = sim
         self.name = "Timeout"
@@ -426,8 +428,8 @@ class Simulation:
         self._fifo: deque[tuple[float, int, Any]] = deque()
         self._seq = 0
         self._tpool: list[Timeout] = []
-        #: Zero-delay timeouts served from the recycling pool (always-on:
-        #: incremented outside the run loop, scraped by repro.obs).
+        #: Timeouts served from the recycling pool (always-on, incremented
+        #: outside the run loop; not exported, see the module docstring).
         self.timeout_pool_hits = 0
         self.rng = None  # set lazily by RngRegistry users
 
@@ -444,8 +446,8 @@ class Simulation:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         pool = self._tpool
         if pool:
-            if delay < 0:
-                raise ValueError(f"negative timeout delay {delay}")
+            if not delay >= 0:
+                raise ValueError(f"negative or NaN timeout delay {delay}")
             t = pool.pop()
             t.callbacks = []
             t._value = value
@@ -454,8 +456,6 @@ class Simulation:
             t.delay = delay
             self._push(delay, NORMAL, t)
             self.timeout_pool_hits += 1
-            if PROFILE.enabled:
-                PROFILE.count("kernel.timeout_pool_hits")
             return t
         return Timeout(self, delay, value)
 
@@ -485,23 +485,16 @@ class Simulation:
         else:
             heappush(self._heap, (self._now + delay, (priority << 62) | seq, item))
 
-    def _enqueue(self, event: Event, delay: float, priority: int) -> None:
-        """Schedule ``event``; the boundary where delays are validated."""
-        if delay < 0:
-            raise ValueError(
-                f"negative delay {delay!r} scheduling event "
-                f"{getattr(event, 'name', '') or event!r}"
-            )
-        self._push(delay, priority, event)
-
     def schedule_callback(self, delay: float, fn: Callable[[], None], name: str = "") -> _Callback:
         """Run ``fn`` after ``delay`` seconds (bookkeeping helper).
 
         Returns an opaque heap entry, not an :class:`Event` — callbacks are
         fire-and-forget and cannot be waited on.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r} scheduling callback {name or fn!r}")
+        if not delay >= 0:
+            raise ValueError(
+                f"negative or NaN delay {delay!r} scheduling callback {name or fn!r}"
+            )
         entry = _Callback(fn, name=name)
         self._push(delay, NORMAL, entry)
         return entry
@@ -530,8 +523,6 @@ class Simulation:
         if not self._heap and not self._fifo:
             raise SimulationError("step() on an empty schedule")
         item = self._pop()
-        if PROFILE.enabled:
-            PROFILE.count("kernel.events")
         item._process()
         if type(item) is Timeout and len(self._tpool) < _TPOOL_MAX and _getrefcount(item) == 2:
             # Provably unreferenced (only `item` and the getrefcount argument
@@ -553,7 +544,6 @@ class Simulation:
         heap = self._heap
         fifo = self._fifo
         tpool = self._tpool
-        profile = PROFILE
         if isinstance(until, Event):
             stop = until
             while not stop._processed:
@@ -571,8 +561,6 @@ class Simulation:
                     raise SimulationError(
                         f"schedule drained before event {stop!r} fired (deadlock?)"
                     )
-                if profile.enabled:
-                    profile.count("kernel.events")
                 item._process()
                 if type(item) is Timeout and len(tpool) < _TPOOL_MAX and _getrefcount(item) == 2:
                     tpool.append(item)
@@ -581,8 +569,8 @@ class Simulation:
             stop._defused = True
             raise stop._value
         horizon = float("inf") if until is None else float(until)
-        if horizon < self._now:
-            raise ValueError(f"until={horizon} is in the past (now={self._now})")
+        if not horizon >= self._now:
+            raise ValueError(f"until={horizon} is NaN or in the past (now={self._now})")
         while True:
             # Inlined _pop() with the horizon check folded in. FIFO entries
             # fire at the current clock, which never exceeds the horizon, so
@@ -601,8 +589,6 @@ class Simulation:
                 self._now = t
             else:
                 break
-            if profile.enabled:
-                profile.count("kernel.events")
             item._process()
             if type(item) is Timeout and len(tpool) < _TPOOL_MAX and _getrefcount(item) == 2:
                 tpool.append(item)

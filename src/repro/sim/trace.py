@@ -17,9 +17,10 @@ data path — as the simulation runs:
 * a **bounded ring buffer** — old span/instant events are evicted, never
   grown without limit; flow records are bounded separately.
 
-Like :data:`repro.sim.profile.PROFILE`, the recorder is a process-wide
-singleton (:data:`TRACE`) that costs one attribute check per call site
-when disabled, so instrumentation lives permanently in the data path::
+Like the metrics registry :data:`repro.obs.OBS`, the recorder is a
+process-wide singleton (:data:`TRACE`) that costs one attribute check per
+call site when disabled, so instrumentation lives permanently in the data
+path::
 
     from repro.sim.trace import TRACE
 

@@ -83,6 +83,24 @@ class TestMountProtocol:
         assert mount.fs is fs
         assert sdsc.active_remote_mounts == 1
 
+    def test_servers_notified_in_nsd_order(self, monkeypatch):
+        # The fan-out is sent one message at a time, so its order sets the
+        # kernel's sequence numbers and the delivery-time sums; it must be
+        # NSD order, not a set's hash-seed-dependent order.
+        g, sdsc, ncsa, fs = wan_gfs()
+        sent = []
+        send = g.messages.send
+
+        def recording_send(src, dst, *args, **kwargs):
+            sent.append((src, dst))
+            return send(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(g.messages, "send", recording_send)
+        g.run(until=ncsa.mmmount("gpfs-sdsc-remote", "n0"))
+        servers = [srv.node for srv in fs.service.servers.values()]
+        assert servers == ["s0", "s1", "s2", "s3"]
+        assert [dst for src, dst in sent if src == "s0" and dst in servers] == servers
+
     def test_handshake_pays_wan_latency(self):
         g, sdsc, ncsa, fs = wan_gfs(wan_delay=0.040)
         evt = ncsa.mmmount("gpfs-sdsc-remote", "n0")

@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.core.nsd import Nsd, NsdServer
+from repro.core.cluster import Gfs, NsdSpec
+from repro.core.nsd import Nsd, NsdServer, NsdService
+from repro.faults.health import NodeHealth
 from repro.sim import Simulation
 from repro.storage import Hba, make_ds4100
+from repro.util.units import Gbps, KiB
 
 
 class TestNsdStore:
@@ -90,3 +93,60 @@ class TestNsdServer:
         nsd = Nsd(0, "n", total_blocks=8, block_size=1024)
         server = NsdServer("node0", [nsd], tags=("lane2",))
         assert server.tags == ("lane2",)
+
+
+class TestGuardFastPath:
+    """A fault-free RPC builds no crash or partition park generator."""
+
+    def make(self):
+        g = Gfs(seed=0)
+        g.network.add_node("sw", kind="switch")
+        for name in ("s0", "s1", "c0"):
+            g.network.add_host(name, "sw", Gbps(10))
+        cluster = g.add_cluster("c")
+        cluster.add_nodes(["s0", "s1", "c0"])
+        fs = cluster.mmcrfs(
+            "fs0",
+            [NsdSpec(server=s, blocks=64) for s in ("s0", "s1")],
+            block_size=KiB(64),
+            store_data=False,
+        )
+        return g, fs.service, fs.block_size
+
+    @pytest.mark.parametrize("with_health", [False, True])
+    def test_fault_free_rpcs_never_park(self, monkeypatch, with_health):
+        def no_park(*args):
+            raise AssertionError("a fault-free RPC entered a park generator")
+
+        monkeypatch.setattr(NsdService, "_guard_park", no_park)
+        monkeypatch.setattr(NsdService, "_partition_park", no_park)
+        g, svc, bs = self.make()
+        if with_health:
+            svc.attach_health(NodeHealth(g.sim))
+
+        def io():
+            yield svc.write_block("c0", 0, 0, 0, bs)
+            yield svc.read_blocks("c0", 0, [0, 1])
+
+        g.run(until=g.sim.process(io()))
+        assert (svc.blocks_written, svc.blocks_read) == (1, 2)
+
+    def test_rpc_to_crashed_server_parks_in_guard(self, monkeypatch):
+        entered = []
+        park = NsdService._guard_park
+
+        def recording_park(self, server):
+            entered.append(server.node)
+            return park(self, server)
+
+        monkeypatch.setattr(NsdService, "_guard_park", recording_park)
+        g, svc, bs = self.make()
+        health = NodeHealth(g.sim)
+        svc.attach_health(health)
+        node = svc.server_of(0).node
+        health.crash(node)
+        rpc = svc.read_block("c0", 0, 0, 0, bs)
+        g.run(until=1.0)
+        # No detector declares the node down, so the RPC stays parked.
+        assert entered == [node]
+        assert not rpc.triggered and svc.blocks_read == 0

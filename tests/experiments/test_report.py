@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.experiments.report import _registry, main, run_trace
+from repro.obs.export import validate_profile_snapshot
 
 ALL_IDS = [f"E{i}" for i in range(1, 18)] + [f"A{i}" for i in range(1, 7)]
 
@@ -38,15 +39,34 @@ class TestCli:
         assert "ablation" in captured.out
 
 
+def profile_counters(tmp_path, exp_id):
+    path = tmp_path / "prof.json"
+    # --profile-json implies profiling even without --profile.
+    assert main(["--quick", "--only", exp_id, "--profile-json", str(path)]) == 0
+    snap = json.loads(path.read_text())
+    assert list(snap) == [exp_id]
+    validate_profile_snapshot(snap[exp_id])
+    counters = snap[exp_id]["counters"]
+    # Totals under the metrics export's family names.
+    for family in ("kernel.events", "flow.recomputes", "flow.active_rows"):
+        assert counters[family] > 0, family
+    return counters
+
+
 class TestProfileJson:
     def test_profile_json_written_per_experiment(self, capsys, tmp_path):
-        path = tmp_path / "prof.json"
-        rc = main(["--quick", "--only", "A3", "--profile-json", str(path)])
-        assert rc == 0
-        snap = json.loads(path.read_text())
-        # --profile-json implies profiling even without --profile.
-        assert "flowengine.recomputes" in snap["A3"]["counters"]
-        assert set(snap["A3"]) == {"counters", "timers"}
+        # A3's cells are bare FlowEngines: no Gfs, no collector. Each cell
+        # is one flow, so its solver work is one-column solves.
+        counters = profile_counters(tmp_path, "A3")
+        assert counters["fairshare.single_flow_solves"] > 0
+        assert counters["fairshare.solved_rows"] == 0
+
+    def test_gfs_experiment_counters(self, capsys, tmp_path):
+        counters = profile_counters(tmp_path, "E10")
+        assert counters["fairshare.solved_rows"] > 0
+        # Coalescing reads as blocks over RPCs; E10 mounts max_coalesce=1.
+        blocks = counters["nsd.blocks_read"] + counters["nsd.blocks_written"]
+        assert blocks == counters["nsd.rpc.total"] > 0
 
 
 class TestTraceDir:

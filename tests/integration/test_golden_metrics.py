@@ -123,8 +123,9 @@ def test_coalescing_logically_equivalent_to_legacy():
     """Same workload, coalescing off vs on: identical logical effects.
 
     Bytes read/written, per-block service counters, and checksum
-    verification counts must match exactly; only the RPC *shape*
-    (``nsd.coalesced_rpcs``) may differ. Data must read back identical.
+    verification counts must match exactly; only the RPC *shape* (the
+    ``nsd.rpc.total`` count the blocks travel in) may differ. Data must
+    read back identical.
     """
     from repro.util.units import KiB, MiB
 

@@ -151,14 +151,15 @@ class TestMetricsDir:
 
 class TestSnapshotDedup:
     def test_profile_snapshot_is_the_profile_schema(self):
-        from repro.sim.profile import Profile
-
-        p = Profile()
-        p.enable()
-        p.count("solver.calls", 3)
-        snap = p.snapshot()
-        assert snap == profile_snapshot(p)
+        # Counter families summed over their label sets; gauges and
+        # histograms stay out of the profile.
+        reg = make_registry()
+        reg.register_callback("flow.recomputes", lambda: 4.0, kind="counter", sim="1")
+        reg.register_callback("flow.recomputes", lambda: 6.0, kind="counter", sim="2")
+        snap = profile_snapshot(reg)
+        assert snap == {"counters": {"flow.recomputes": 10.0, "nsd.rpc.total": 5.0}}
         validate_profile_snapshot(snap)
+        assert reg.rows == []  # reading appends no scrape row
 
     def test_trace_snapshot_is_the_tracer_schema(self):
         from repro.sim.trace import Tracer
@@ -179,3 +180,7 @@ class TestSnapshotDedup:
             validate_trace_snapshot({"events": {}})
         with pytest.raises(SchemaError):
             validate_profile_snapshot({"counters": []})
+        with pytest.raises(SchemaError):
+            validate_profile_snapshot({"counters": {}, "timers": {}})
+        with pytest.raises(SchemaError, match="nsd.rpc.total"):
+            validate_profile_snapshot({"counters": {"nsd.rpc.total{op=read}": 3}})

@@ -19,8 +19,6 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.sim.profile import PROFILE
-
 #: Priority for ordinary events.
 NORMAL = 1
 #: Priority for "urgent" bookkeeping events that must precede normal ones
@@ -364,8 +362,6 @@ class Simulation:
         if t < self._now:
             raise SimulationError("time went backwards (kernel bug)")
         self._now = t
-        if PROFILE.enabled:
-            PROFILE.count("kernel.events")
         event._process()
 
     def peek(self) -> float:

@@ -1,92 +1,87 @@
-"""Tests for the simulator self-profiler (`repro.sim.profile`)."""
+"""Tests for the simulator's self-profiling counters.
 
-import time
+Each counter is an attribute of the object that does the work (kernel,
+flow engine, solver). ``report --profile`` totals them per family through
+the :data:`repro.obs.OBS` registry (:func:`repro.obs.export.profile_snapshot`).
+"""
 
 import pytest
 
-from repro.sim import Profile
+from repro.experiments.report import main
+from repro.net import FlowEngine, Network
+from repro.obs import OBS, profile_snapshot
+from repro.sim import Simulation
+from repro.util.units import Gbps, MB
 
 
 @pytest.fixture
-def prof():
-    p = Profile()
-    p.enable()
-    return p
+def obs():
+    OBS.reset()
+    OBS.enable()
+    yield OBS
+    OBS.disable()
+    OBS.reset()
+
+
+def bare_engine():
+    sim = Simulation()
+    net = Network()
+    net.add_node("a")
+    net.add_node("b")
+    net.add_link("a", "b", Gbps(1))
+    return sim, FlowEngine(sim, net)
+
+
+def transfer(sim, engine, nflows):
+    done = sim.all_of([engine.transfer("a", "b", MB(10)) for _ in range(nflows)])
+    sim.run(until=done)
 
 
 class TestCounters:
-    def test_count_accumulates(self, prof):
-        prof.count("x")
-        prof.count("x", 4)
-        assert prof.counters["x"] == 5
+    def test_count_accumulates(self, obs):
+        # A family's total sums every universe's label set.
+        runs = [bare_engine() for _ in range(2)]
+        for nflows, (sim, engine) in zip((2, 3), runs):
+            transfer(sim, engine, nflows)
+        totals = profile_snapshot(obs)["counters"]
+        assert totals["flow.completed"] == 5
+        assert totals["flow.recomputes"] == sum(e.recomputes for _, e in runs)
+        assert totals["flow.active_rows"] == sum(e.active_rows for _, e in runs)
+        assert totals["kernel.events"] == sum(s._seq for s, _ in runs)
 
     def test_disabled_is_noop(self):
-        p = Profile()
-        p.count("x")
-        with p.timed("t"):
-            pass
-        assert not p.counters and not p.timers
+        OBS.reset()
+        sim, engine = bare_engine()
+        transfer(sim, engine, 2)
+        assert engine.recomputes > 0  # counted on the engine all the same
+        assert profile_snapshot(OBS) == {"counters": {}}
 
-    def test_snapshot_is_a_copy(self, prof):
-        prof.count("x")
-        snap = prof.snapshot()
-        prof.count("x")
-        assert snap["counters"]["x"] == 1
+    def test_snapshot_is_a_copy(self, obs):
+        sim, engine = bare_engine()
+        transfer(sim, engine, 1)
+        snap = profile_snapshot(obs)
+        transfer(sim, engine, 1)
+        assert snap["counters"]["flow.completed"] == 1
+        assert profile_snapshot(obs)["counters"]["flow.completed"] == 2
 
-    def test_report_mentions_names(self, prof):
-        prof.count("solver.rows", 3)
-        assert "solver.rows" in prof.report()
+    def test_report_mentions_names(self, capsys):
+        assert main(["--quick", "--only", "A3", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "-- profile --" in out
+        for family in ("kernel.events", "flow.recomputes", "flow.active_rows"):
+            assert family in out
+        assert not OBS.enabled and not OBS.read()["counters"]
 
+    def test_timeout_pool_hits_not_exported(self, obs):
+        # Pool recycling depends on when the cyclic GC runs, so the counter
+        # stays on the Simulation and out of same-seed exports.
+        sim, engine = bare_engine()
 
-class TestTimedReentrancy:
-    def test_nested_same_name_counts_wall_time_once(self, prof):
-        """Regression: nested timed("x") used to double-count wall time."""
-        def busy(dt):
-            t0 = time.perf_counter()
-            while time.perf_counter() - t0 < dt:
-                pass
+        def spin():
+            for _ in range(30):
+                yield sim.timeout(0.0)
 
-        dt = 0.02
-        with prof.timed("x"):
-            with prof.timed("x"):
-                busy(dt)
-        # Double-counting would report >= 2*dt.
-        assert prof.timers["x"] == pytest.approx(dt, rel=0.5)
-
-    def test_recursive_call_site(self, prof):
-        def recurse(n):
-            with prof.timed("r"):
-                if n:
-                    recurse(n - 1)
-
-        recurse(10)
-        assert prof.timers["r"] < 0.1
-        assert not prof._timed_depth  # fully unwound
-
-    def test_distinct_names_accumulate_independently(self, prof):
-        with prof.timed("a"):
-            with prof.timed("b"):
-                pass
-        assert "a" in prof.timers and "b" in prof.timers
-
-    def test_sequential_same_name_accumulates(self, prof):
-        with prof.timed("x"):
-            pass
-        first = prof.timers["x"]
-        with prof.timed("x"):
-            pass
-        assert prof.timers["x"] >= first
-
-    def test_exception_unwinds_depth(self, prof):
-        with pytest.raises(RuntimeError):
-            with prof.timed("x"):
-                raise RuntimeError("boom")
-        assert not prof._timed_depth
-        assert "x" in prof.timers
-
-    def test_reset_clears_depth_state(self, prof):
-        with prof.timed("x"):
-            prof.reset()
-        # The outer exit sees no stale depth and must not crash... the
-        # accumulation after reset is allowed to re-create the timer.
-        assert prof._timed_depth == {}
+        sim.process(spin())
+        transfer(sim, engine, 2)
+        assert sim.timeout_pool_hits > 0
+        assert not any("pool" in key for key in obs.read()["counters"])

@@ -1,8 +1,10 @@
-"""Tests for RngRegistry, Monitor, and Gauge."""
+"""Tests for RngRegistry and sim-time monitoring (Gauge, RateMeter)."""
 
 import pytest
 
-from repro.sim import Gauge, Monitor, RngRegistry, Simulation
+from repro.obs.metrics import Gauge
+from repro.sim import RngRegistry, Simulation
+from repro.util.timeseries import RateMeter
 
 
 class TestRngRegistry:
@@ -42,124 +44,86 @@ class TestRngRegistry:
 
 
 class TestMonitor:
+    """Gauges and rate meters stamped with a simulation's clock."""
+
     def test_meter_records_at_sim_time(self):
         sim = Simulation()
-        mon = Monitor(sim, window=1.0)
+        meter = RateMeter(window=1.0, name="net")
 
         def proc(sim):
             yield sim.timeout(0.5)
-            mon.record_bytes("net", 100)
+            meter.record(sim.now, 100)
             yield sim.timeout(1.0)
-            mon.record_bytes("net", 300)
+            meter.record(sim.now, 300)
 
         sim.process(proc(sim))
         sim.run()
-        series = mon.rate_series("net", t_end=2.0)
+        series = meter.series(t_end=2.0)
         assert series.values == [100.0, 300.0]
-
-    def test_meter_cached_by_name(self):
-        sim = Simulation()
-        mon = Monitor(sim)
-        assert mon.meter("a") is mon.meter("a")
-        assert mon.meter("a") is not mon.meter("b")
 
     def test_gauge(self):
         sim = Simulation()
-        mon = Monitor(sim)
+        g = Gauge("queue")
 
         def proc(sim):
-            mon.gauge("queue").set(3)
+            g.set(3, sim.now)
             yield sim.timeout(2)
-            mon.gauge("queue").set(5)
+            g.set(5, sim.now)
 
         sim.process(proc(sim))
         sim.run()
-        g = mon.gauge("queue")
         assert g.last() == 5
-        assert g.series.times == [0.0, 2.0]
+        assert g.series().times == [0.0, 2.0]
 
     def test_gauge_unset_raises(self):
-        sim = Simulation()
         with pytest.raises(ValueError):
-            Gauge(sim, name="g").last()
+            Gauge(name="g").last()
 
     def test_gauge_unset_error_names_gauge(self):
-        sim = Simulation()
         with pytest.raises(ValueError, match="'depth'"):
-            Gauge(sim, name="depth").last()
-
-    def test_rate_series_unknown_meter_raises(self):
-        # Regression: rate_series used to silently create an empty meter
-        # for a typo'd name; now it must raise with the known names.
-        sim = Simulation()
-        mon = Monitor(sim)
-        mon.record_bytes("net", 100)
-        with pytest.raises(KeyError, match="nett"):
-            mon.rate_series("nett")
-        assert sorted(mon.meters) == ["net"]  # no meter leaked
-
-    def test_rate_series_error_lists_known_meters(self):
-        sim = Simulation()
-        mon = Monitor(sim)
-        mon.record_bytes("disk", 1)
-        mon.record_bytes("net", 1)
-        with pytest.raises(KeyError, match="disk.*net"):
-            mon.rate_series("wan")
+            Gauge(name="depth").last()
 
     def test_meter_windowing_bins_by_window(self):
         sim = Simulation()
-        mon = Monitor(sim, window=2.0)
+        meter = RateMeter(window=2.0, name="net")
 
         def proc(sim):
-            mon.record_bytes("net", 100)  # t=0, bin [0,2)
+            meter.record(sim.now, 100)  # t=0, bin [0,2)
             yield sim.timeout(1.0)
-            mon.record_bytes("net", 100)  # t=1, bin [0,2)
+            meter.record(sim.now, 100)  # t=1, bin [0,2)
             yield sim.timeout(2.0)
-            mon.record_bytes("net", 600)  # t=3, bin [2,4)
+            meter.record(sim.now, 600)  # t=3, bin [2,4)
 
         sim.process(proc(sim))
         sim.run()
-        series = mon.rate_series("net", t_end=4.0)
+        series = meter.series(t_end=4.0)
         # Per-window byte totals divided by the window length.
         assert series.times == [2.0, 4.0]
         assert series.values == [100.0, 300.0]
-
-    def test_meter_respects_custom_window(self):
-        sim = Simulation()
-        mon = Monitor(sim, window=1.0)
-        assert mon.meter("fine", window=0.25).window == 0.25
-        assert mon.meter("coarse").window == 1.0
 
     def test_rate_series_empty_window_at_t_zero(self):
         # Asking for the trace at sim start (t_end=0) is an empty window,
         # not a crash and not a single all-of-time bin.
         sim = Simulation()
-        mon = Monitor(sim, window=1.0)
-        mon.record_bytes("net", 100)
-        assert mon.rate_series("net", t_end=0.0).empty
-        # Implicit t_end=sim.now at t=0 behaves the same way.
-        assert mon.rate_series("net").empty
+        meter = RateMeter(window=1.0, name="net")
+        meter.record(sim.now, 100)
+        assert meter.series(t_end=0.0).empty
+        # t_end=sim.now at t=0 behaves the same way.
+        assert meter.series(sim.now).empty
 
     def test_gauge_history_survives_many_sets(self):
         # Regression: Gauge must keep timestamped samples, not only the
         # last value — series-style queries need the history.
         sim = Simulation()
-        mon = Monitor(sim)
+        g = Gauge("depth")
 
         def proc(sim):
             for v in (1, 2, 3):
-                mon.gauge("depth").set(v)
+                g.set(v, sim.now)
                 yield sim.timeout(1.0)
 
         sim.process(proc(sim))
         sim.run()
-        series = mon.gauge_series("depth")
+        series = g.series()
         assert series.times == [0.0, 1.0, 2.0]
         assert series.values == [1.0, 2.0, 3.0]
-
-    def test_gauge_series_unknown_gauge_raises(self):
-        sim = Simulation()
-        mon = Monitor(sim)
-        mon.gauge("depth").set(1)
-        with pytest.raises(KeyError, match="depth"):
-            mon.gauge_series("depht")
