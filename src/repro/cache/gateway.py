@@ -24,6 +24,11 @@ with :class:`GatewayMount`; the data path then looks like:
   inode enqueued before it has reached home — close-to-open coherence
   and revoke semantics survive the asynchrony.
 
+Every read, hit or miss, is one callback chain
+(:meth:`CacheGateway.read_block`) whether the flight recorder is on, a
+partition is armed, or the lease lapsed in flight: tracing records a
+run, it never reroutes one.
+
 Partition semantics: a WAN cut parks the gateway's fetches, lease
 renewals, and flusher RPCs (nothing fails); reads inside a live lease
 keep being served from cache, and writeback writes keep being acked
@@ -50,7 +55,6 @@ from repro.core.client import Identity, MountedFs, ROOT, plan_transfers
 from repro.core.replication import read_run, run_limit, write_run
 from repro.obs.registry import OBS
 from repro.sim.kernel import Event
-from repro.sim.trace import TRACE
 from repro.storage.pipes import Pipe
 from repro.util.units import MB
 
@@ -248,54 +252,74 @@ class CacheGateway:
     ) -> Event:
         """Serve one block to a local client; event value is the data.
 
-        With tracing off and no partition armed, the read runs on a
-        callback chain instead of a generator process — same message
-        accounting, cache statistics, disk occupancy, and sim-time
-        arrivals as the process path, in a fraction of the kernel events
-        (the warm-hit path is the gateway benchmark's hot loop).
+        One callback chain for every read: control message → lease check
+        → cache lookup → gateway disk → LAN transfer back. The lease is
+        checked at the instant the control message lands; a lapsed one
+        is renewed by the shared :meth:`_ensure_lease` round trip before
+        the lookup. Hits ride :meth:`Pipe.fast_transfer` when the gateway
+        disk is idle; misses join the shared batched fetch. A hit served
+        while the WAN is cut counts as a stale hit.
         """
-        if TRACE.enabled or self._partition is not None:
-            return self.sim.process(
-                self._read(client, inode, block_index, placed, tags),
-                name=f"gwread:{inode.ino}:{block_index}",
-            )
-        return self._read_fast(client, inode, block_index, placed, tags)
-
-    def _read(self, client, inode, block_index, placed, tags):
-        ino = inode.ino
-        gw = self.node_for(ino, block_index)
-        t0 = self.sim.now
-        # control leg: client → gateway node (site-local)
-        yield self.messages.send(client, gw, nbytes=CONTROL_BYTES)
-        return (
-            yield from self._read_rest(
-                client, inode, block_index, placed, tags, gw, t0
-            )
-        )
-
-    def _read_rest(self, client, inode, block_index, placed, tags, gw, t0):
-        """Read continuation after the control leg (lease not yet held)."""
         ino = inode.ino
         bs = self.fs.block_size
-        yield from self._ensure_lease(gw, ino)
-        entry = self.cache.lookup(ino, block_index)
-        if entry is not None:
-            if self._wan_cut(gw):
-                self.stale_hits += 1  # stale-within-lease service
-            yield self.disks[gw].transfer(bs)
-            yield self.engine.transfer(
+        gw = self.node_for(ino, block_index)
+        sim = self.sim
+        t0 = sim.now
+        done = sim.event(name=f"gwread:{ino}:{block_index}")
+
+        def lan_leg(on_done) -> None:
+            evt = self.engine.transfer(
                 gw, client, bs, tags=tuple(tags) + self.tags,
                 **self.service._pair_kwargs(gw, client),
             )
-            self._served_hit(ino, bs, t0)
-            return entry.data if self.fs.store_data else None
-        data = yield self._fetch(gw, inode, block_index, placed)
-        yield self.engine.transfer(
-            gw, client, bs, tags=tuple(tags) + self.tags,
-            **self.service._pair_kwargs(gw, client),
-        )
-        self._served_miss(bs, t0)
-        return data
+            evt.callbacks.append(on_done)
+
+        def miss_fetched(evt) -> None:
+            if not evt.ok:
+                done.fail(evt.value)
+                return
+            data = evt.value
+            lan_leg(lambda _e: (self._served_miss(bs, t0), done.succeed(data)))
+
+        def lookup() -> None:
+            entry = self.cache.lookup(ino, block_index)
+            if entry is None:
+                self._fetch(gw, inode, block_index, placed).callbacks.append(
+                    miss_fetched
+                )
+                return
+            if self._wan_cut(gw):
+                self.stale_hits += 1  # stale-within-lease service
+            data = entry.data if self.fs.store_data else None
+
+            def hit_disk_done() -> None:
+                lan_leg(
+                    lambda _e: (self._served_hit(ino, bs, t0),
+                                done.succeed(data))
+                )
+
+            disk = self.disks[gw]
+            if not disk.fast_transfer(bs, hit_disk_done):
+                disk.transfer(bs).callbacks.append(lambda _e: hit_disk_done())
+
+        def lease_renewed(evt) -> None:
+            if evt.ok:
+                lookup()
+            else:
+                done.fail(evt.value)
+
+        def arrived() -> None:
+            lease = self._lease.get(ino)
+            if lease is None or lease.expires_at <= sim.now:
+                sim.process(
+                    self._ensure_lease(gw, ino), name=f"gwlease:{ino}"
+                ).callbacks.append(lease_renewed)
+                return
+            lookup()
+
+        # control leg: client → gateway node (site-local)
+        self.messages.send_then(client, gw, arrived, nbytes=CONTROL_BYTES)
+        return done
 
     def _served_hit(self, ino, bs, t0) -> None:
         self.served_bytes += bs
@@ -320,79 +344,6 @@ class CacheGateway:
                 "cache.read.latency", self.sim.now - t0,
                 gw=self.name, tier="miss",
             )
-
-    def _read_fast(self, client, inode, block_index, placed, tags) -> Event:
-        """Callback-chain read: control delay → lease/lookup → disk → LAN.
-
-        The lease is checked at the instant the control message lands
-        (exactly where the process path checks it); if it lapsed mid-
-        flight, the remainder falls back to the generator path to do the
-        WAN revalidation. Hits ride :meth:`Pipe.fast_transfer` when the
-        gateway disk is idle; misses join the shared batched fetch.
-        """
-        ino = inode.ino
-        bs = self.fs.block_size
-        gw = self.node_for(ino, block_index)
-        sim = self.sim
-        t0 = sim.now
-        done = sim.event(name=f"gwread:{ino}:{block_index}")
-        # Inlined messages.send (no partition by construction): one
-        # callback at the delivery instant, same counter.
-        self.messages.messages_sent += 1
-
-        def lan_leg(on_done) -> None:
-            evt = self.engine.transfer(
-                gw, client, bs, tags=tuple(tags) + self.tags,
-                **self.service._pair_kwargs(gw, client),
-            )
-            evt.callbacks.append(on_done)
-
-        def miss_fetched(evt) -> None:
-            if not evt.ok:
-                done.fail(evt.value)
-                return
-            data = evt.value
-            lan_leg(lambda _e: (self._served_miss(bs, t0), done.succeed(data)))
-
-        def arrived() -> None:
-            lease = self._lease.get(ino)
-            if lease is None or lease.expires_at <= sim.now:
-                # Lease lapsed in flight: revalidate on the process path.
-                proc = sim.process(
-                    self._read_rest(
-                        client, inode, block_index, placed, tags, gw, t0
-                    ),
-                    name=f"gwread:{ino}:{block_index}",
-                )
-                proc.callbacks.append(
-                    lambda e: done.succeed(e.value) if e.ok
-                    else done.fail(e.value)
-                )
-                return
-            entry = self.cache.lookup(ino, block_index)
-            if entry is None:
-                self._fetch(gw, inode, block_index, placed).callbacks.append(
-                    miss_fetched
-                )
-                return
-            data = entry.data if self.fs.store_data else None
-
-            def hit_disk_done() -> None:
-                lan_leg(
-                    lambda _e: (self._served_hit(ino, bs, t0),
-                                done.succeed(data))
-                )
-
-            disk = self.disks[gw]
-            if not disk.fast_transfer(bs, hit_disk_done):
-                disk.transfer(bs).callbacks.append(lambda _e: hit_disk_done())
-
-        sim.schedule_callback(
-            self.messages.delivery_time(client, gw, CONTROL_BYTES),
-            arrived,
-            name=f"gwctl:{ino}",
-        )
-        return done
 
     # -- miss batching → coalesced WAN fetch -------------------------------------
 

@@ -225,12 +225,14 @@ class MountedFs:
         """Telemetry wrapper: client-visible read latency + ok/error counts.
 
         ``yield from`` adds no events, so the wrapped read is
-        event-for-event identical to the bare one.
+        event-for-event identical to the bare one. A ``GeneratorExit`` (the
+        cyclic GC closing a read still parked when its run ended) is not an
+        error.
         """
         t0 = self.sim.now
         try:
             data = yield from gen
-        except BaseException:
+        except Exception:
             OBS.inc("client.read.errors", client=self.node)
             raise
         OBS.observe("client.read.latency", self.sim.now - t0, client=self.node)

@@ -304,7 +304,6 @@ class NsdService:
         #: Client retry policy (repro.faults.RetryPolicy); None = legacy
         #: fail-fast behaviour, preserved exactly for existing callers.
         self.retry = None
-        self._retry_rng = None
         self._retry_streams = None
         self.retries = 0
         self.rpc_timeouts = 0
@@ -327,25 +326,23 @@ class NsdService:
         :class:`NsdServerDown` — instead of succeeding against a corpse."""
         self.health = health
 
-    def attach_retry(self, policy, rng=None, rng_streams=None) -> None:
+    def attach_retry(self, policy, rng_streams=None) -> None:
         """Enable per-RPC timeout/backoff/failover retry on block ops.
 
         ``rng_streams`` is an :class:`~repro.sim.rand.RngRegistry` (or any
         object with a ``stream(name)`` method): each client node then draws
         backoff jitter from its own named stream ``faults.retry.<node>``,
-        so backed-off clients don't retry in lockstep. ``rng`` is the
-        legacy single shared Generator (every client the same stream),
-        kept for callers that want one knob.
+        so backed-off clients don't retry in lockstep. Without it backoff
+        delays carry no jitter.
         """
         self.retry = policy
-        self._retry_rng = rng
         self._retry_streams = rng_streams
 
     def _retry_rng_for(self, client_node: str):
-        """The jitter RNG for one client's backoff delays."""
-        if self._retry_streams is not None:
-            return self._retry_streams.stream(f"faults.retry.{client_node}")
-        return self._retry_rng
+        """The jitter RNG for one client's backoff delays (None: no jitter)."""
+        if self._retry_streams is None:
+            return None
+        return self._retry_streams.stream(f"faults.retry.{client_node}")
 
     def attach_partition(self, partition) -> None:
         """Block ops between severed node sets park until the partition
@@ -480,18 +477,20 @@ class NsdService:
         ``yield from`` adds no events, so wrapping cannot perturb event
         order; with retries active the wrapped generator is the whole
         retried operation, i.e. the latency histogram records what the
-        *client* saw, failovers and backoff included.
+        *client* saw, failovers and backoff included. Only an
+        ``Exception`` counts as an error: a ``GeneratorExit`` is the cyclic
+        GC closing an RPC that was still parked when its run ended.
         """
         t0 = self.sim.now
         self.inflight += 1
         try:
             result = yield from gen
-        except BaseException:
-            self.inflight -= 1
+        except Exception:
             if OBS.enabled:
                 OBS.inc("nsd.rpc.errors", op=op)
             raise
-        self.inflight -= 1
+        finally:
+            self.inflight -= 1
         if OBS.enabled:
             OBS.observe("nsd.rpc.latency", self.sim.now - t0, op=op)
             OBS.inc("nsd.rpc.total", op=op)

@@ -720,22 +720,8 @@ def run_fuzz_case(
     intensity: float = 1.0,
     settle: float = 4.0,
 ) -> FuzzReport:
-    """Run one seeded storm and return its :class:`FuzzReport`.
-
-    Telemetry is suspended for the storm's lifetime: fuzz verdicts come
-    from the oracle, and a fuzz cell riding inside an OBS-enabled
-    experiment (E16) must not re-register that experiment's unlabeled
-    detector metrics.
-    """
-    from repro.obs.registry import OBS
-
-    was_enabled = OBS.enabled
-    OBS.enabled = False
-    try:
-        case = _FuzzCase(seed, duration, servers, clients, intensity, settle)
-        return case.run()
-    finally:
-        OBS.enabled = was_enabled
+    """Run one seeded storm and return its :class:`FuzzReport`."""
+    return _FuzzCase(seed, duration, servers, clients, intensity, settle).run()
 
 
 def run_fuzz(

@@ -52,7 +52,6 @@ class FaultHarness:
         renew_interval: Optional[float] = None,
         check_interval: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
-        retry_rng=None,
         retry_rng_streams=None,
         token_managers: Iterable = (),
         arrays: Dict[str, object] | None = None,
@@ -102,7 +101,6 @@ class FaultHarness:
             partition=self.partition,
         )
         self.retry = retry
-        self._retry_rng = retry_rng
         self._retry_rng_streams = retry_rng_streams
         self.token_managers = list(token_managers)
         # Manager failover arms automatically when the schedule kills a
@@ -147,9 +145,7 @@ class FaultHarness:
         self.service.attach_health(self.health)
         if self.retry is not None:
             self.service.attach_retry(
-                self.retry,
-                rng=self._retry_rng,
-                rng_streams=self._retry_rng_streams,
+                self.retry, rng_streams=self._retry_rng_streams
             )
         if self.partition is not None:
             self.service.attach_partition(self.partition)

@@ -51,18 +51,26 @@ class MessageService:
         bottleneck = self.network.bottleneck_rate(src, dst)
         return delay + nbytes / bottleneck
 
-    def send(self, src: str, dst: str, payload=None, nbytes: float = 1024.0) -> Event:
-        """Deliver ``payload`` to ``dst``; event fires with the payload."""
+    def send_then(self, src: str, dst: str, fn, nbytes: float = 1024.0) -> None:
+        """Send one message and run ``fn()`` at the instant it lands.
+
+        The callback form of :meth:`send`: one heap entry at delivery and
+        no :class:`Event`, for callers that chain on callbacks instead of
+        yielding. A severed pair parks the message until the heal, as
+        for :meth:`send`.
+        """
         self.messages_sent += 1
-        evt = self.sim.event(name=f"msg:{src}->{dst}")
 
         def deliver() -> None:
-            self.sim.schedule_callback(
-                self.delivery_time(src, dst, nbytes), lambda: evt.succeed(payload)
-            )
+            self.sim.schedule_callback(self.delivery_time(src, dst, nbytes), fn)
 
         if not self._park_then(src, dst, deliver):
             deliver()
+
+    def send(self, src: str, dst: str, payload=None, nbytes: float = 1024.0) -> Event:
+        """Deliver ``payload`` to ``dst``; event fires with the payload."""
+        evt = self.sim.event(name=f"msg:{src}->{dst}")
+        self.send_then(src, dst, lambda: evt.succeed(payload), nbytes)
         return evt
 
     def fanout(self, src: str, dsts, payload=None, nbytes: float = 1024.0) -> Event:

@@ -22,7 +22,8 @@ Naming conventions (the families ``repro health`` rolls up live in
 * ``scrub.*{fs=...}`` / ``tokens.*{fs=...}`` / ``hsm.*{fs=...}``;
 * ``client.pagepool.*{client=...}`` / ``cache.*{gw=...}`` /
   ``gateway.*{gw=...}``;
-* ``faults.*`` — detections, recoveries (latency histograms inline).
+* ``faults.*{sim=<pid>}`` — detections, recoveries (latency histograms
+  inline).
 
 Every per-object family also carries the ``sim=<pid>`` label of the
 universe it lives in, so two universes in one process (a sweep that
@@ -46,12 +47,6 @@ def attach_engine(engine) -> None:
     pid = str(_pid(sim))
 
     def kernel_multi() -> dict:
-        # Deliberately NOT exported: Simulation.timeout_pool_hits and the
-        # pool depth. Recycling is gated on ``sys.getrefcount(t) == 2``,
-        # and a timeout caught in a reference cycle stays above that until
-        # the cyclic GC happens to run — a process-global, allocation-driven
-        # trigger. The counters are faithful but not same-seed
-        # deterministic, and exports promise bit-identical artifacts.
         return {
             "counters": {
                 canonical_key("kernel.events", {"sim": pid}):
@@ -307,18 +302,22 @@ def attach_detector(detector) -> None:
     detector at declare/recover time; the callbacks here expose the
     running totals.
     """
+    labels = {"sim": str(_pid(detector.sim))}
     OBS.register_callback(
         "faults.detections",
         lambda d=detector: float(len(d.detections)),
         kind="counter",
+        **labels,
     )
     OBS.register_callback(
         "faults.recoveries",
         lambda d=detector: float(len(d.recoveries)),
         kind="counter",
+        **labels,
     )
     OBS.register_callback(
         "faults.detected_down",
         lambda d=detector: float(len(d.detected_down)),
         kind="gauge",
+        **labels,
     )

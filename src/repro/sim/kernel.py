@@ -30,12 +30,10 @@ used; see ``tests/property/test_kernel_order.py``):
 * waiting on an already-processed event pushes a tiny :class:`_Resume`
   trampoline instead of constructing and triggering a relay :class:`Event`;
 * :meth:`Simulation.schedule_callback` pushes a :class:`_Callback` heap
-  entry (no :class:`Event`, no closure);
-* zero-and-low-delay :class:`Timeout` sequencers are recycled through a
-  small pool when provably unreferenced (``sys.getrefcount``), skipping
-  object construction entirely (counted in
-  :attr:`Simulation.timeout_pool_hits`, which no export reads: whether a
-  timeout is unreferenced depends on when the cyclic GC last ran).
+  entry (no :class:`Event`, no closure).
+
+Every :class:`Timeout` is a fresh object: nothing is recycled, so no
+kernel state depends on when the cyclic GC runs.
 
 Scheduling-boundary validation: negative and NaN delays are rejected with
 a clear error *at the call that supplied them*
@@ -52,7 +50,6 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from sys import getrefcount as _getrefcount
 from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -64,9 +61,6 @@ URGENT = 0
 
 #: NORMAL priority pre-shifted into the packed heap key.
 _NB = NORMAL << 62
-
-#: Max recycled Timeout objects kept per simulation.
-_TPOOL_MAX = 512
 
 
 class SimulationError(RuntimeError):
@@ -174,11 +168,7 @@ class Event:
 
 
 class Timeout(Event):
-    """Event that fires ``delay`` seconds after construction.
-
-    Instances may be recycled through :attr:`Simulation._tpool` once
-    processed *and* provably unreferenced; see :meth:`Simulation.timeout`.
-    """
+    """Event that fires ``delay`` seconds after construction."""
 
     __slots__ = ("delay",)
 
@@ -427,10 +417,6 @@ class Simulation:
         self._heap: list[tuple[float, int, Any]] = []
         self._fifo: deque[tuple[float, int, Any]] = deque()
         self._seq = 0
-        self._tpool: list[Timeout] = []
-        #: Timeouts served from the recycling pool (always-on, incremented
-        #: outside the run loop; not exported, see the module docstring).
-        self.timeout_pool_hits = 0
         self.rng = None  # set lazily by RngRegistry users
 
     @property
@@ -444,19 +430,6 @@ class Simulation:
         return Event(self, name=name)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        pool = self._tpool
-        if pool:
-            if not delay >= 0:
-                raise ValueError(f"negative or NaN timeout delay {delay}")
-            t = pool.pop()
-            t.callbacks = []
-            t._value = value
-            t._processed = False
-            t._defused = False
-            t.delay = delay
-            self._push(delay, NORMAL, t)
-            self.timeout_pool_hits += 1
-            return t
         return Timeout(self, delay, value)
 
     def process(self, gen: Generator[Event, Any, Any], name: str = "") -> Process:
@@ -522,13 +495,7 @@ class Simulation:
         """Process exactly one event."""
         if not self._heap and not self._fifo:
             raise SimulationError("step() on an empty schedule")
-        item = self._pop()
-        item._process()
-        if type(item) is Timeout and len(self._tpool) < _TPOOL_MAX and _getrefcount(item) == 2:
-            # Provably unreferenced (only `item` and the getrefcount argument
-            # hold it): recycle. Anything retained by user code, a condition,
-            # or `run(until=...)` has refcount > 2 and is left alone.
-            self._tpool.append(item)
+        self._pop()._process()
 
     def peek(self) -> float:
         """Time of the next event, or ``inf`` if none."""
@@ -543,7 +510,6 @@ class Simulation:
         """
         heap = self._heap
         fifo = self._fifo
-        tpool = self._tpool
         if isinstance(until, Event):
             stop = until
             while not stop._processed:
@@ -562,8 +528,6 @@ class Simulation:
                         f"schedule drained before event {stop!r} fired (deadlock?)"
                     )
                 item._process()
-                if type(item) is Timeout and len(tpool) < _TPOOL_MAX and _getrefcount(item) == 2:
-                    tpool.append(item)
             if stop._ok:
                 return stop._value
             stop._defused = True
@@ -590,8 +554,6 @@ class Simulation:
             else:
                 break
             item._process()
-            if type(item) is Timeout and len(tpool) < _TPOOL_MAX and _getrefcount(item) == 2:
-                tpool.append(item)
         if horizon != float("inf"):
             self._now = horizon
         return None

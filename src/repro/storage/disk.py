@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sim.kernel import Event, Simulation
-from repro.sim.trace import TRACE
 from repro.storage.pipes import Pipe
 from repro.util.units import GB, MB
 
@@ -79,31 +78,13 @@ class Disk:
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         pipe = self._read_pipe if kind == "read" else self._write_pipe
-        extra = 0.0 if sequential else self.spec.seek_time
         if kind == "read":
             self.bytes_read += nbytes
         else:
             self.bytes_written += nbytes
-        return self.sim.process(
-            self._serve(pipe, nbytes, extra), name=f"{self.name}-{kind}"
+        return pipe.transfer(
+            nbytes, extra_latency=0.0 if sequential else self.spec.seek_time
         )
-
-    def _serve(self, pipe: Pipe, nbytes: float, extra_latency: float):
-        tr = TRACE if TRACE.enabled else None
-        lane = f"disk:{self.name}"
-        with pipe._res.request() as req:
-            wid = tr.begin(self.sim, "wait", cat="storage.queue", lane=lane,
-                           bytes=nbytes) if tr else 0
-            yield req
-            if wid:
-                tr.end(self.sim, wid)
-            sid = tr.begin(self.sim, "service", cat="storage.service",
-                           lane=lane, bytes=nbytes) if tr else 0
-            yield self.sim.timeout(extra_latency + pipe.service_time(nbytes))
-            if sid:
-                tr.end(self.sim, sid)
-        pipe.bytes_served += nbytes
-        pipe.ios_served += 1
 
     def rate(self, kind: str) -> float:
         return self.spec.read_rate if kind == "read" else self.spec.write_rate

@@ -173,35 +173,15 @@ class RaidSet:
             return self.sim.process(
                 self._detailed_io(kind, nbytes, sequential), name=f"{self.name}-{kind}"
             )
-        return self.sim.process(
-            self._aggregate_io(kind, nbytes, sequential), name=f"{self.name}-{kind}"
-        )
-
-    def _aggregate_io(self, kind: str, nbytes: float, sequential: bool):
         pipe = self._agg_pipe
-        assert pipe is not None
         rate = self.read_rate() if kind == "read" else self.write_rate(nbytes)
         rate *= self.service_factor
         # Express the IO as read-rate-equivalent bytes so one pipe can carry
         # both kinds while preserving each kind's service time.
-        equiv = nbytes * (pipe.rate / rate)
-        seek = 0.0 if sequential else self.spec.seek_time
-        tr = TRACE if TRACE.enabled else None
-        lane = f"raid:{self.name}"
-        with pipe._res.request() as req:
-            wid = tr.begin(self.sim, f"wait.{kind}", cat="storage.queue",
-                           lane=lane, bytes=nbytes) if tr else 0
-            yield req
-            if wid:
-                tr.end(self.sim, wid)
-            sid = tr.begin(self.sim, f"service.{kind}", cat="storage.service",
-                           lane=lane, bytes=nbytes,
-                           state=self.state.value) if tr else 0
-            yield self.sim.timeout(seek + pipe.service_time(equiv))
-            if sid:
-                tr.end(self.sim, sid)
-        pipe.bytes_served += nbytes
-        pipe.ios_served += 1
+        return pipe.transfer(
+            nbytes * (pipe.rate / rate),
+            extra_latency=0.0 if sequential else self.spec.seek_time,
+        )
 
     def _detailed_io(
         self, kind: str, nbytes: float, sequential: bool

@@ -12,6 +12,7 @@ from repro.core.multicluster import MountAuthError
 from repro.core.replication import ReplicationPolicy
 from repro.core.tokens import RW
 from repro.faults.partition import PartitionState
+from repro.sim.trace import TRACE
 from repro.util.units import Gbps
 
 from tests.core.test_multicluster import patterned, wan_gfs
@@ -385,3 +386,67 @@ class TestPartition:
         assert gw.writes_flushed == gw.write_acks
         assert gw.dirty_queue_depth == 0
         assert gw.lease_breaks >= 1  # parked push delivered at heal
+
+
+class TestOneReadPath:
+    """Tracing records, it never reroutes: every gateway read takes the
+    same callback chain with the flight recorder on or off, partition
+    armed or not, lease live or lapsed."""
+
+    @staticmethod
+    def _sequence(traced, armed):
+        if traced:
+            TRACE.enable()
+        try:
+            g, sdsc, ncsa, fs, gw = gateway_gfs(lease_duration=0.05)
+            bs = fs.block_size
+            payload = patterned(3 * bs, seed=1)
+            home_write(g, sdsc, "/f", payload)
+            inode = fs.namespace.resolve("/f")
+            placed = [fs.lookup_block(inode, b) for b in range(3)]
+            part = sever_wan(g, fs, gw) if armed else None
+            hop = fs.messages.delivery_time("n0", "gw0", 512.0)
+
+            def read(*blocks):
+                evts = [gw.read_block("n0", inode, b, placed[b]) for b in blocks]
+                got = yield g.sim.all_of(evts)
+                return [got[e] for e in evts]
+
+            def lapse_in_flight():
+                # The next reads leave half a control hop before the lease
+                # runs out, so it lapses while their messages are in flight.
+                left = gw._lease[inode.ino].expires_at - g.sim.now
+                yield g.sim.timeout(left - hop / 2)
+
+            def io():
+                out = yield from read(0, 1, 2)  # cold: batched WAN fetch
+                yield from lapse_in_flight()
+                renewals = gw.lease_renewals
+                out += yield from read(0, 1)  # one shared renewal, two hits
+                assert gw.lease_renewals == renewals + 1
+                if part is not None:
+                    part.begin({"n0", "n1", "gw0"})
+                out += yield from read(2)  # hit inside the live lease
+                yield from lapse_in_flight()
+                # This renewal parks on the cut until the heal.
+                last = gw.read_block("n0", inode, 2, placed[2])
+                yield g.sim.timeout(0.2)
+                if part is not None:
+                    assert not last.triggered
+                    part.heal()
+                out.append((yield last))
+                return out
+
+            values = run_io(g, io())
+            blocks = [payload[b * bs:(b + 1) * bs] for b in (0, 1, 2, 0, 1, 2, 2)]
+            assert values == blocks
+            return values, gw.stale_hits, gw.lease_renewals, g.sim._seq, g.sim.now
+        finally:
+            TRACE.disable()
+            TRACE.reset()
+
+    @pytest.mark.parametrize("armed", [True, False], ids=["partition", "whole"])
+    def test_trace_does_not_reroute(self, armed):
+        untraced = self._sequence(False, armed)
+        assert self._sequence(True, armed) == untraced
+        assert untraced[1] == (1 if armed else 0)  # stale hits

@@ -150,3 +150,42 @@ class TestGuardFastPath:
         # No detector declares the node down, so the RPC stays parked.
         assert entered == [node]
         assert not rpc.triggered and svc.blocks_read == 0
+
+
+class TestTelemetryWrappers:
+    def test_closed_parked_reads_are_not_errors(self):
+        # The cyclic GC closes generators still parked when their run
+        # ended, possibly while a later run is being exported: a
+        # GeneratorExit is not an RPC or read error.
+        from repro.obs import OBS
+
+        from tests.core.testbed import mounted, run_io, small_gfs
+
+        OBS.reset()
+        OBS.enable()
+        try:
+            g, cluster, fs, _ = small_gfs(nsd_servers=2, store_data=False)
+            writer = mounted(g, cluster, node="c0")
+            reader = mounted(g, cluster, node="c1")
+
+            def create():
+                h = yield writer.open("/f", "w", create=True)
+                yield writer.write(h, fs.block_size)
+                yield writer.close(h)
+                return (yield reader.open("/f", "r"))
+
+            handle = run_io(g, create())
+            svc = fs.service
+            rpc = svc.read_block("c0", 0, 0, 0, fs.block_size)
+            pread = reader.pread(handle, 0, fs.block_size)  # waits for a token
+            g.run(until=g.sim.now)
+            assert svc.inflight == 1
+            assert not rpc.triggered and not pread.triggered
+            rpc.gen.close()
+            pread.gen.close()
+            counters = OBS.read()["counters"]
+        finally:
+            OBS.disable()
+            OBS.reset()
+        assert svc.inflight == 0
+        assert not [key for key in counters if "errors" in key]

@@ -53,7 +53,7 @@ class TestEmptyScheduleInvariance:
                 schedule=FaultSchedule(), engine=g.engine,
                 network=g.network, lease_duration=1.0,
                 retry=RetryPolicy(),
-                retry_rng=g.rng.stream("faults.retry"),
+                retry_rng_streams=g.rng,
                 token_managers=[fs.token_manager],
             )
         _write_file(g, m)
@@ -83,7 +83,7 @@ class TestRideThrough:
             ),
             engine=g.engine, network=g.network, lease_duration=0.4,
             retry=RetryPolicy(),
-            retry_rng=g.rng.stream("faults.retry"),
+            retry_rng_streams=g.rng,
             token_managers=[fs.token_manager],
         )
         failed = _read_file(g, m, nbytes=64 * 1024 * 1024)
@@ -162,3 +162,39 @@ class TestE13Determinism:
         assert a.metrics["failures_detected"] == 1.0
         assert a.metrics["recoveries"] == 1.0
         assert a.metrics["rpc_retries"] > 0
+
+
+class TestTelemetry:
+    def test_harnesses_in_two_universes_share_one_registry(self):
+        # A fault cell riding inside an experiment (E16's fuzz storm) is a
+        # second universe with its own detector: the sim label keeps the
+        # faults.* families of the two apart.
+        from repro.obs import OBS
+
+        OBS.reset()
+        OBS.enable()
+        try:
+            for _ in range(2):
+                g, _cluster, fs, _ = small_gfs(nsd_servers=4)
+                harness = attach_faults(
+                    g.sim, fs.service, manager_node="nsd0",
+                    schedule=FaultSchedule().crash_node(0.1, "nsd1"),
+                    engine=g.engine, network=g.network, lease_duration=0.4,
+                )
+                g.run(until=g.sim.timeout(1.0))
+                harness.stop()
+            reading = OBS.read()
+        finally:
+            OBS.disable()
+            OBS.reset()
+        detections = {
+            key: value for key, value in reading["counters"].items()
+            if key.startswith("faults.detections")
+        }
+        assert len(detections) == 2
+        assert all("{sim=" in key for key in detections)
+        assert set(detections.values()) == {1.0}
+        assert sum(
+            value for key, value in reading["gauges"].items()
+            if key.startswith("faults.detected_down")
+        ) == 2.0

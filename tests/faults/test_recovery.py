@@ -43,7 +43,7 @@ def failover_scenario(lease=0.5, sweep=0.1, crash_after=0.2, restart_after=4.0):
         g.sim, fs.service, manager_node=fs.manager_node,
         schedule=schedule, engine=g.engine, network=g.network,
         lease_duration=lease, retry=RetryPolicy(),
-        retry_rng=g.rng.stream("faults.retry"),
+        retry_rng_streams=g.rng,
         token_managers=[fs.token_manager], filesystem=fs,
         election_sweep=sweep,
     )

@@ -1,8 +1,8 @@
 """Property test: the fast-path kernel preserves event firing order.
 
 ``repro.sim.kernel`` grew several fast paths (immediate-resume trampoline,
-zero-delay FIFO lane, pooled timeouts, lightweight callback entries —
-see ARCHITECTURE.md §10) that are each *argued* order-identical to the
+zero-delay FIFO lane, lightweight callback entries — see ARCHITECTURE.md
+§10) that are each *argued* order-identical to the
 plain single-heap kernel. This suite checks the argument empirically:
 ``_reference_kernel.py`` is a frozen copy of the pre-optimization kernel,
 and both kernels replay the same randomized process/timeout/AllOf/AnyOf/

@@ -71,17 +71,3 @@ class TestCounters:
         for family in ("kernel.events", "flow.recomputes", "flow.active_rows"):
             assert family in out
         assert not OBS.enabled and not OBS.read()["counters"]
-
-    def test_timeout_pool_hits_not_exported(self, obs):
-        # Pool recycling depends on when the cyclic GC runs, so the counter
-        # stays on the Simulation and out of same-seed exports.
-        sim, engine = bare_engine()
-
-        def spin():
-            for _ in range(30):
-                yield sim.timeout(0.0)
-
-        sim.process(spin())
-        transfer(sim, engine, 2)
-        assert sim.timeout_pool_hits > 0
-        assert not any("pool" in key for key in obs.read()["counters"])

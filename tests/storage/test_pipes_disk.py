@@ -3,8 +3,9 @@
 import pytest
 
 from repro.sim import Simulation
+from repro.sim.trace import TRACE
 from repro.storage import Disk, DiskSpec, FC_2005, Pipe, SATA_2005
-from repro.util.units import GB, MB
+from repro.util.units import GB, KiB, MB
 
 
 class TestPipe:
@@ -57,6 +58,49 @@ class TestPipe:
             pipe.transfer(-1)
 
 
+def idle_stage_spans(serve):
+    """Spans one IO through an idle stage records, without their ids."""
+    TRACE.enable()
+    try:
+        sim = Simulation()
+        pipe = Pipe(sim, rate=MB(100), name="p")
+        serve(pipe)
+        sim.run()
+        assert pipe.bytes_served == MB(50) and pipe.ios_served == 1
+        return [(t0, dur, lane, name, cat, args)
+                for _ph, t0, dur, _pid, lane, name, cat, args in TRACE._events]
+    finally:
+        TRACE.disable()
+        TRACE.reset()
+
+
+class TestFastTransfer:
+    def test_takes_the_slot_and_queues_contenders(self):
+        sim = Simulation()
+        pipe = Pipe(sim, rate=MB(100))
+        done = []
+        assert pipe.fast_transfer(MB(50), lambda: done.append(sim.now))
+        assert pipe._res.count == 1
+        queued = pipe.transfer(MB(50))
+        assert not pipe.fast_transfer(MB(50), lambda: None)  # busy stage
+        sim.run(until=queued)
+        assert done == [0.5] and sim.now == 1.0
+
+    def test_records_the_spans_transfer_records(self):
+        # Tracing must not decline the fast path: the same slot, the same
+        # service time, and the spans an idle transfer() leaves behind.
+        taken = []
+        fast = idle_stage_spans(
+            lambda pipe: taken.append(pipe.fast_transfer(MB(50), lambda: None))
+        )
+        assert taken == [True]
+        assert fast == idle_stage_spans(lambda pipe: pipe.transfer(MB(50)))
+        assert [span[3:5] for span in fast] == [
+            ("wait", "storage.queue"), ("service", "storage.service"),
+        ]
+        assert fast[1][:3] == (0.0, 0.5, "pipe:p")
+
+
 class TestDiskSpec:
     def test_profiles_sane(self):
         assert SATA_2005.capacity == GB(250)
@@ -100,6 +144,18 @@ class TestDisk:
         sim.run(until=e2)
         assert sim.now == pytest.approx(2.0)
         assert e1.processed
+
+    def test_random_read_behind_write_exact_times(self):
+        # Pinned to the bit: the read waits for the write on the shared
+        # actuator, then pays seek + bytes / read rate.
+        sim = Simulation()
+        disk = Disk(sim, FC_2005, name="d")
+        write = disk.io("write", KiB(256) * 3 + 17)
+        read = disk.io("read", KiB(64) + 5, sequential=False)
+        sim.run(until=write)
+        assert sim.now == 0.009252341176470589
+        sim.run(until=read)
+        assert sim.now == 0.015388756906807667
 
     def test_byte_accounting(self):
         sim = Simulation()

@@ -77,6 +77,19 @@ class TestAggregateIo:
         sim.run(until=evt)
         assert sim.now == pytest.approx(MB(8) / raid.read_rate() + SATA_2005.seek_time)
 
+    def test_degraded_random_io_exact_times(self):
+        # Pinned to the bit: a partial-stripe write on a degraded set, then
+        # a read queued behind it, each paying seek + read-rate-equivalent
+        # bytes through the one aggregate stage.
+        sim, raid = make(False)
+        raid.fail_disk()
+        write = raid.io("write", raid.full_stripe // 3 + 1, sequential=False)
+        read = raid.io("read", MB(3) + 7, sequential=False)
+        sim.run(until=write)
+        assert sim.now == 0.018999441115702478
+        sim.run(until=read)
+        assert sim.now == 0.04286310399449035
+
     def test_byte_accounting(self):
         sim, raid = make(False)
         sim.run(until=raid.io("read", MB(1)))
