@@ -58,7 +58,7 @@ def main():
           f"{r.metric('rtt') * 1e3:.0f} ms path")
 
     print()
-    print("every figure, with shape assertions:  pytest benchmarks/ --benchmark-only")
+    print("every figure, with its paper gates checked:  python -m repro report")
 
 
 if __name__ == "__main__":

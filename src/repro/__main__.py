@@ -48,7 +48,7 @@ def _info() -> str:
         "run one:     python -m repro report --quick --only E1",
         "run all:     python -m repro report --quick",
         "unit tests:  pytest tests/",
-        "benchmarks:  pytest benchmarks/ --benchmark-only",
+        "paper gates: python -m repro report  (full size; exits 1 on a failed gate)",
     ]
     return "\n".join(lines)
 

@@ -1,4 +1,4 @@
-"""A1–A3: ablations of the design choices DESIGN.md calls out.
+"""A1–A6: ablations of the design choices DESIGN.md calls out.
 
 * A1 — filesystem block size vs WAN streaming throughput (the in-flight
   window is ``readahead x block_size``, so block size is a WAN lever).
@@ -7,6 +7,9 @@
 * A3 — TCP window vs single-stream rate at the paper's 80 ms RTT: why
   2005-default 64 KiB windows made single-stream tools hopeless and
   parallel NSD streams essential.
+* A4 — one vs two GbE per NSD server (the §8 upgrade path).
+* A5 — degraded/rebuilding RAID service and NSD server failover.
+* A6 — packet loss vs throughput (the Mathis cap) at 80 ms.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.experiments.e8_latency import measure
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import Experiment, ExperimentResult, Gate
 from repro.topology.sdsc2005 import build_sdsc2005
 from repro.util.tables import Table
 from repro.util.units import GB, Gbps, KiB, MB, MiB
@@ -65,6 +68,19 @@ def run_a1_blocksize(
     return result
 
 
+A1 = Experiment(
+    "A1", "block size", run_a1_blocksize,
+    quick=dict(block_sizes=(KiB(256), MiB(1), MiB(4)), read_bytes=MB(96)),
+    gates=(
+        Gate("bigger_blocks_faster",
+             lambda m: m["rate_bs256k"] < m["rate_bs1024k"] < m["rate_bs4096k"] * 1.01,
+             "rate_bs256k < rate_bs1024k < 1.01 x rate_bs4096k (deeper windows)"),
+        Gate("4m_over_256k", lambda m: m["rate_bs4096k"] > 2 * m["rate_bs256k"],
+             "rate_bs4096k > 2 x rate_bs256k"),
+    ),
+)
+
+
 def run_a2_server_scaling(
     server_counts: Sequence[int] = (8, 16, 32, 64),
     clients: int = 32,
@@ -107,6 +123,20 @@ def run_a2_server_scaling(
     return result
 
 
+A2 = Experiment(
+    "A2", "server scaling", run_a2_server_scaling,
+    quick=dict(server_counts=(8, 16), clients=12, region_bytes=MiB(16)),
+    gates=(
+        Gate("8_to_16_servers", lambda m: m["rate_16srv"] > 1.5 * m["rate_8srv"],
+             "rate_16srv > 1.5 x rate_8srv: server GbE binds (paper: 64 Gb/s)"),
+        Gate("16_to_32_servers", lambda m: m["rate_32srv"] > m["rate_16srv"],
+             "rate_32srv > rate_16srv"),
+        Gate("clients_bind", lambda m: m["rate_32srv"] < 4 * m["rate_8srv"],
+             "rate_32srv < 4 x rate_8srv: the fixed client population binds"),
+    ),
+)
+
+
 def run_a3_window(
     windows: Sequence[int] = (KiB(64), KiB(256), MiB(1), MiB(4), MiB(16)),
     rtt: float = 0.080,
@@ -135,6 +165,26 @@ def run_a3_window(
         "is what the NSD client x server mesh provides"
     )
     return result
+
+
+A3 = Experiment(
+    "A3", "TCP window", run_a3_window,
+    quick=dict(),
+    gates=(
+        Gate("single_64k",
+             lambda m: abs(m["single_64k"] - KiB(64) / 0.080)
+             <= 0.1 * abs(KiB(64) / 0.080),
+             "within 10% of 64 KiB / 80 ms: the 2005-default window binds"),
+        Gate("single_1024k",
+             lambda m: abs(m["single_1024k"] - 16 * m["single_64k"])
+             <= 0.1 * abs(16 * m["single_64k"]),
+             "within 10% of 16 x single_64k: rate linear in window"),
+        Gate("parallel32_256k", lambda m: m["parallel32_256k"] > 25 * m["single_256k"],
+             "> 25 x single_256k: 32 streams multiply the per-window rate"),
+        Gate("parallel32_4096k", lambda m: m["parallel32_4096k"] > Gbps(9),
+             "> 9 Gb/s: line rate once windows reach a few MiB"),
+    ),
+)
 
 
 def run_a4_upgrade_path(
@@ -187,6 +237,18 @@ def run_a4_upgrade_path(
         result.metrics["read_rate_2gbe"] / result.metrics["read_rate_1gbe"]
     )
     return result
+
+
+A4 = Experiment(
+    "A4", "GbE upgrade", run_a4_upgrade_path,
+    quick=dict(clients=12, nsd_servers=4, region_bytes=MiB(16)),
+    gates=(
+        Gate("upgrade_gain", lambda m: m["upgrade_gain"] > 1.5,
+             "> 1.5 (paper §8: doubling server GbE doubles the aggregate)"),
+        Gate("upgrade_gain_at_most_2x", lambda m: m["upgrade_gain"] <= 2.05,
+             "<= 2.05: two NICs cannot more than double the rate"),
+    ),
+)
 
 
 def run_a5_degraded(read_bytes: float = MB(400)) -> ExperimentResult:
@@ -274,6 +336,24 @@ def run_a5_degraded(read_bytes: float = MB(400)) -> ExperimentResult:
     return result
 
 
+A5 = Experiment(
+    "A5", "degraded/failover", run_a5_degraded,
+    quick=dict(read_bytes=MB(150)),
+    gates=(
+        Gate("raid_service_order",
+             lambda m: m["lun_rate_degraded"] < m["lun_rate_rebuilding"]
+             < m["lun_rate_healthy"],
+             "degraded < rebuilding < healthy LUN rate (reconstruction costs)"),
+        Gate("failover_keeps_serving",
+             lambda m: 0.5 * m["fs_rate_before_failover"]
+             < m["fs_rate_after_failover"] < m["fs_rate_before_failover"],
+             "0.5 x before < after < before: one dead server costs rate only"),
+        Gate("failovers", lambda m: m["failovers"] > 0,
+             "> 0 RPCs failed over to the backup server"),
+    ),
+)
+
+
 def run_a6_loss(
     losses=(0.0, 1e-6, 1e-5, 1e-4, 1e-3),
     rtt: float = 0.080,
@@ -327,15 +407,18 @@ def run_a6_loss(
     return result
 
 
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.harness import format_result
-
-    print(format_result(run_a3_window()))
-    print()
-    print(format_result(run_a1_blocksize()))
-    print()
-    print(format_result(run_a2_server_scaling()))
-    print()
-    print(format_result(run_a4_upgrade_path()))
-    print()
-    print(format_result(run_a5_degraded()))
+A6 = Experiment(
+    "A6", "loss sweep", run_a6_loss,
+    quick=dict(losses=(0.0, 1e-5, 1e-3)),
+    gates=(
+        Gate("window_limited_at_1e-6", lambda m: m["single_0"] == m["single_1em06"],
+             "single_0 == single_1em06: window-limited, not loss-limited"),
+        Gate("mathis_scaling",
+             lambda m: 8 < m["single_1em05"] / m["single_1em03"] < 12.5,
+             "8 < ratio < 12.5 (Mathis: 100x the loss, 1/10 the rate)"),
+        Gate("parallel32_1em05", lambda m: m["parallel32_1em05"] > Gbps(9),
+             "> 9 Gb/s: 32 streams hold line rate to 1e-5 loss"),
+        Gate("parallel32_1em03", lambda m: m["parallel32_1em03"] < Gbps(2),
+             "< 2 Gb/s at 1e-3 loss"),
+    ),
+)

@@ -10,7 +10,7 @@ other's archives").
 from __future__ import annotations
 
 from repro.core.cluster import Gfs, NsdSpec
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import Experiment, ExperimentResult, Gate
 from repro.hsm.manager import HsmManager, MigrationPolicy
 from repro.hsm.replicate import ArchiveReplicator
 from repro.hsm.tape import LTO2, TapeLibrary
@@ -110,7 +110,22 @@ def run_e10(
     return result
 
 
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.harness import format_result
-
-    print(format_result(run_e10()))
+E10 = Experiment(
+    "E10", "HSM", run_e10,
+    quick=dict(files=12, file_bytes=int(MB(24)), blocks_per_nsd=96),
+    gates=(
+        Gate("occupancy_before", lambda m: m["occupancy_before"] > 0.55,
+             "> 0.55: the run starts above the high-water mark"),
+        Gate("occupancy_after", lambda m: m["occupancy_after"] <= 0.32,
+             "<= 0.32: migrated to tape down to the low-water mark"),
+        Gate("migrated_files", lambda m: m["migrated_files"] > 0,
+             "> 0 files migrated to tape"),
+        Gate("warm_recall_faster", lambda m: m["recall_warm_s"] < m["recall_cold_s"],
+             "warm recall faster than cold (tape mount + seek)"),
+        Gate("recall_cold_s", lambda m: 10 < m["recall_cold_s"] < 600,
+             "10 s < cold recall < 600 s: seconds to minutes"),
+        Gate("second_copy_complete",
+             lambda m: m["replicated_segments"] == m["migrated_files"],
+             "replicated_segments == migrated_files (remote second copies)"),
+    ),
+)

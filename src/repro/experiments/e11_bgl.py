@@ -14,7 +14,7 @@ upgrade (two).
 
 from __future__ import annotations
 
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import Experiment, ExperimentResult, Gate
 from repro.topology.sdsc2005 import attach_bgl, build_sdsc2005
 from repro.util.tables import Table
 from repro.util.units import Gbps, MB, MiB, fmt_bits_rate
@@ -90,7 +90,18 @@ def run_e11_bgl(
     return result
 
 
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.harness import format_result
-
-    print(format_result(run_e11_bgl()))
+E11 = Experiment(
+    "E11", "BG/L", run_e11_bgl,
+    quick=dict(io_nodes=8, per_io_node_bytes=MB(64), nsd_servers=32),
+    gates=(
+        Gate("writes_storage_bound",
+             lambda m: m["drain_rate_2gbe"] < 1.2 * m["drain_rate_1gbe"],
+             "2 GbE drain < 1.2 x 1 GbE drain: writes are storage-bound"),
+        Gate("reads_gain_from_nics",
+             lambda m: m["read_rate_2gbe"] > m["read_rate_1gbe"],
+             "2 GbE reads faster (paper: the 64 -> 128 Gb/s design point)"),
+        Gate("reads_beat_writes",
+             lambda m: m["read_rate_1gbe"] > 1.3 * m["drain_rate_1gbe"],
+             "read rate > 1.3 x write rate (the Fig 11 asymmetry)"),
+    ),
+)

@@ -10,10 +10,10 @@ keeping occupancy down (the §8 "integral part of a HSM" argument).
 
 from __future__ import annotations
 
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import Experiment, ExperimentResult, Gate
 from repro.topology.sdsc2005 import build_sdsc2005
 from repro.util.tables import Table
-from repro.util.units import MB, MiB, TB, fmt_bytes, fmt_rate, fmt_time
+from repro.util.units import GB, MB, MiB, TB, fmt_bytes, fmt_rate, fmt_time
 from repro.workloads.scec import ScecRun
 
 FULL_RUN_BYTES = TB(250)
@@ -76,7 +76,19 @@ def run_e12_scec(
     return result
 
 
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.harness import format_result
-
-    print(format_result(run_e12_scec()))
+E12 = Experiment(
+    "E12", "SCEC capacity", run_e12_scec,
+    quick=dict(ranks=8, scaled_bytes=MB(256), nsd_servers=32, ds4100_count=16),
+    gates=(
+        Gate("write_rate", lambda m: GB(0.5) < m["write_rate"] < GB(4),
+             "0.5 GB/s < write_rate < 4 GB/s: ~1 GB/s for a 32-rank run"),
+        Gate("drain_days", lambda m: 1 < m["drain_days"] < 10,
+             "1 < drain_days < 10: a 250 TB run (paper) drains in days"),
+        Gate("fits_empty", lambda m: m["fits_empty"] == 1.0,
+             "== 1: 250 TB fits an empty filesystem"),
+        Gate("fits_with_resident_data", lambda m: m["fits_with_resident_data"] == 0.0,
+             "== 0: 250 TB does not fit beside 250 TB of resident data"),
+        Gate("hsm_must_free", lambda m: m["hsm_must_free"] > TB(10),
+             "> 10 TB the HSM must migrate first"),
+    ),
+)

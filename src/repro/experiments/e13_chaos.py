@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import Experiment, ExperimentResult, Gate
 from repro.faults import FaultSchedule, RetryPolicy, attach_faults
 from repro.obs import (
     OBS,
@@ -241,21 +241,12 @@ def run_e13(
     return result
 
 
-def run_e13_quick(**overrides) -> ExperimentResult:
-    """Scaled-down E13 for CI and the --quick registry."""
-    params = dict(
-        file_bytes=MB(288),
-        anl_clients=2,
-        lease_duration=1.0,
-        crash_after=1.0,
-        restart_after=2.0,
-        extra_faults=False,
-    )
-    params.update(overrides)
-    return run_e13(**params)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.harness import format_result
-
-    print(format_result(run_e13()))
+E13 = Experiment(
+    "E13", "chaos soak", run_e13,
+    quick=dict(file_bytes=MB(288), anl_clients=2, lease_duration=1.0,
+               crash_after=1.0, restart_after=2.0, extra_faults=False),
+    gates=(
+        Gate("reads_failed", lambda m: m["reads_failed"] == 0,
+             "== 0 (paper §6.2: failures are survived, not surfaced)"),
+    ),
+)

@@ -34,7 +34,7 @@ from typing import List, Optional
 from repro.core.replication import ReplicationPolicy
 from repro.core.scrub import Scrubber
 from repro.experiments.e13_chaos import window_mean
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import Experiment, ExperimentResult, Gate
 from repro.faults import FaultSchedule, RetryPolicy, attach_faults
 from repro.obs import OBS, AvailabilityObjective, SloTracker
 from repro.util.tables import Table
@@ -311,22 +311,17 @@ def run_e14(
     return result
 
 
-def run_e14_quick(**overrides) -> ExperimentResult:
-    """Scaled-down E14 for CI and the --quick registry."""
-    params = dict(
-        file_bytes=MiB(64),
-        anl_clients=2,
-        lease_duration=1.0,
-        partition_after=0.8,
-        partition_duration=1.2,
-        corrupt_count=3,
-        ds4100_count=2,
-    )
-    params.update(overrides)
-    return run_e14(**params)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.harness import format_result
-
-    print(format_result(run_e14()))
+E14 = Experiment(
+    "E14", "integrity soak", run_e14,
+    quick=dict(file_bytes=MiB(64), anl_clients=2, lease_duration=1.0,
+               partition_after=0.8, partition_duration=1.2, corrupt_count=3,
+               ds4100_count=2),
+    gates=(
+        Gate("wrong_bytes", lambda m: m["wrong_bytes"] == 0,
+             "== 0: the application never reads a wrong byte"),
+        Gate("reads_failed", lambda m: m["reads_failed"] == 0,
+             "== 0: rot, a dead drive and a partition surface no failed read"),
+        Gate("damage_at_rest_end", lambda m: m["damage_at_rest_end"] == 0,
+             "== 0: every damaged replica is repaired"),
+    ),
+)

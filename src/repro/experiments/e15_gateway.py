@@ -32,7 +32,7 @@ from typing import List, Sequence
 
 from repro.cache import CacheGateway, GatewayBlockCache
 from repro.core.cluster import Gfs, NsdSpec
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import Experiment, ExperimentResult, Gate
 from repro.faults import FaultSchedule, attach_faults
 from repro.obs import (
     OBS,
@@ -399,20 +399,16 @@ def run_e15(
     return result
 
 
-def run_e15_quick(**overrides) -> ExperimentResult:
-    """Scaled-down E15 for CI and the --quick registry."""
-    params = dict(
-        rtts_ms=(20.0, 80.0),
-        cache_fractions=(1.0, 0.5),
-        write_pcts=(0, 25),
-        file_blocks=24,
-        mix_ops=12,
-    )
-    params.update(overrides)
-    return run_e15(**params)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.harness import format_result
-
-    print(format_result(run_e15()))
+E15 = Experiment(
+    "E15", "caching gateway", run_e15,
+    quick=dict(rtts_ms=(20.0, 80.0), cache_fractions=(1.0, 0.5),
+               write_pcts=(0, 25), file_blocks=24, mix_ops=12),
+    gates=(
+        Gate("chaos_reads_failed", lambda m: m["chaos_reads_failed"] == 0,
+             "== 0: every read during the WAN partition is served"),
+        Gate("chaos_lost_acked_writes", lambda m: m["chaos_lost_acked_writes"] == 0,
+             "== 0: writeback replays every acknowledged write after the cut"),
+        Gate("chaos_conflicts", lambda m: m["chaos_conflicts"] == 0,
+             "== 0: the chaos phase hits no write conflict"),
+    ),
+)

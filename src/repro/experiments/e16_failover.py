@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import Experiment, ExperimentResult, Gate
 from repro.faults import FaultSchedule, RetryPolicy, attach_faults
 from repro.faults.fuzz import run_fuzz
 from repro.obs import OBS
@@ -251,22 +251,23 @@ def run_e16(
     return result
 
 
-def run_e16_quick(**overrides) -> ExperimentResult:
-    """Scaled-down E16 for CI and the --quick registry."""
-    params = dict(
-        file_bytes=MB(240),
-        anl_clients=2,
-        lease_duration=1.0,
-        crash_after=1.0,
-        restart_after=4.0,
-        fuzz_seeds=3,
-        fuzz_duration=3.0,
-    )
-    params.update(overrides)
-    return run_e16(**params)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.harness import format_result
-
-    print(format_result(run_e16()))
+E16 = Experiment(
+    "E16", "manager failover", run_e16,
+    quick=dict(file_bytes=MB(240), anl_clients=2, lease_duration=1.0,
+               crash_after=1.0, restart_after=4.0, fuzz_seeds=3,
+               fuzz_duration=3.0),
+    gates=(
+        Gate("reads_failed", lambda m: m["reads_failed"] == 0,
+             "== 0 (paper §6.2: even the manager can die without a failure)"),
+        Gate("writes_failed", lambda m: m["writes_failed"] == 0,
+             "== 0 across the control-plane outage"),
+        Gate("manager_takeovers", lambda m: m["manager_takeovers"] == 1,
+             "== 1: exactly one takeover"),
+        Gate("rebuild_mismatches", lambda m: m["rebuild_mismatches"] == 0,
+             "== 0: the rebuilt token state matches the dead manager's"),
+        Gate("takeover_within_bound", lambda m: m["takeover_within_bound"] == 1,
+             "== 1: the takeover meets its latency budget"),
+        Gate("fuzz_violations", lambda m: m["fuzz_violations"] == 0,
+             "== 0: the riding fuzz cell breaks no invariant"),
+    ),
+)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import Experiment, ExperimentResult, Gate
 from repro.net.flow import FlowEngine
 from repro.net.tcp import TcpModel
 from repro.net.topology import Network
@@ -212,11 +212,15 @@ def run_e17(
     return result
 
 
-def run_e17_quick() -> ExperimentResult:
-    return run_e17(client_counts=(64, 128, 256), compare_at=256, rounds=3)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.harness import format_result
-
-    print(format_result(run_e17()))
+E17 = Experiment(
+    "E17", "fleet scale", run_e17,
+    quick=dict(client_counts=(64, 128, 256), compare_at=256, rounds=3),
+    gates=(
+        Gate("bit_identical", lambda m: m["bit_identical"] == 1,
+             "== 1: the aggregated engine matches aggregate=False bit for bit"),
+        Gate("column_reduction", lambda m: m["column_reduction"] >= 5,
+             ">= 5x fewer solver columns than aggregate=False"),
+        Gate("solver_cols_peak", lambda m: m["solver_cols_peak"] <= 128,
+             "<= 128: solver columns stay within the route-class bound"),
+    ),
+)

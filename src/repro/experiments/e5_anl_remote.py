@@ -7,10 +7,10 @@ mounting the SDSC filesystem over the TeraGrid (56 ms RTT in our map).
 
 from __future__ import annotations
 
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import Experiment, ExperimentResult, Gate
 from repro.topology.sdsc2005 import build_sdsc2005
 from repro.util.tables import Table
-from repro.util.units import MB, MiB, fmt_rate
+from repro.util.units import GB, MB, MiB, fmt_rate
 from repro.workloads.viz import VizReader
 
 
@@ -72,7 +72,15 @@ def run_e5_anl(
     return result
 
 
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.harness import format_result
-
-    print(format_result(run_e5_anl()))
+E5 = Experiment(
+    "E5", "ANL remote", run_e5_anl,
+    quick=dict(anl_nodes=16, per_node_bytes=MB(64)),
+    gates=(
+        Gate("aggregate_rate", lambda m: GB(0.8) < m["aggregate_rate"] < GB(2.0),
+             "0.8 < aggregate_rate < 2 GB/s (paper: ~1.2 GB/s to 32 nodes)"),
+        Gate("per_node_rate", lambda m: m["per_node_rate"] < MB(80),
+             "< 80 MB/s: WAN pipelining, not the GbE NICs, limits each node"),
+        Gate("rtt", lambda m: 0.04 < m["rtt"] < 0.08,
+             "40 ms < rtt < 80 ms (the SDSC->ANL TeraGrid path)"),
+    ),
+)

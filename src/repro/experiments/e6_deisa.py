@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import Experiment, ExperimentResult, Gate
 from repro.topology.deisa import CORE_SITES, build_deisa
 from repro.util.tables import Table
 from repro.util.units import MB, MiB
@@ -82,7 +82,15 @@ def run_e6_deisa(
     return result
 
 
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.harness import format_result
-
-    print(format_result(run_e6_deisa()))
+E6 = Experiment(
+    "E6", "DEISA", run_e6_deisa,
+    quick=dict(per_pair_bytes=MB(80)),
+    gates=(
+        Gate("min_read", lambda m: m["min_read"] > MB(100),
+             "> 100 MB/s on every pair (paper: 'I/O rates of more than 100 Mbytes/s')"),
+        Gate("max_read", lambda m: m["max_read"] <= m["wan_ceiling"] * 1.01,
+             "max_read <= 1.01 x wan_ceiling (paper: 'the theoretical limit')"),
+        Gate("min_write", lambda m: m["min_write"] > MB(75),
+             "> 75 MB/s: write-behind uses the WAN too"),
+    ),
+)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import Experiment, ExperimentResult, Gate
 from repro.grid.gridftp import GridFtp
 from repro.grid.scheduler import GurScheduler, SiteResources
 from repro.grid.staging import DirectGfsJob, JobSpec, StagedJob
@@ -140,7 +140,25 @@ def run_e7(
     return result
 
 
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.harness import format_result
-
-    print(format_result(run_e7()))
+E7 = Experiment(
+    "E7", "staging vs GFS", run_e7,
+    quick=dict(dataset_bytes=GB(2), output_bytes=MB(128),
+               compute_seconds=30.0, fractions=(0.02, 1.0), ncsa_clients=4),
+    gates=(
+        Gate("bytes_moved_at_2pct",
+             lambda m: m["staged_moved_0.02"] > 10 * m["gfs_moved_0.02"],
+             "staging moves > 10x the GFS bytes at 2% access (paper)"),
+        Gate("first_byte_at_2pct",
+             lambda m: m["staged_ttfb_0.02"] > 10 * m["gfs_ttfb_0.02"],
+             "staged first byte > 10x later than GFS (paper: no stage-in)"),
+        Gate("gfs_wins_at_2pct",
+             lambda m: m["gfs_overhead_0.02"] < m["staged_overhead_0.02"],
+             "GFS overhead < staging overhead at 2% access"),
+        Gate("staging_wins_at_full_reuse",
+             lambda m: m["staged_overhead_1.0"] < m["gfs_overhead_1.0"],
+             "staging overhead < GFS overhead at full reuse (the crossover)"),
+        Gate("eligible_sites",
+             lambda m: m["staged_eligible_sites"] < m["gfs_eligible_sites"],
+             "staged jobs see fewer eligible sites (paper §1)"),
+    ),
+)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import Experiment, ExperimentResult, Gate
 from repro.net.flow import FlowEngine
 from repro.net.tcp import TcpModel
 from repro.net.topology import Network
@@ -90,7 +90,20 @@ def run_e8(
     return result
 
 
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.harness import format_result
-
-    print(format_result(run_e8()))
+E8 = Experiment(
+    "E8", "latency ablation", run_e8,
+    quick=dict(nbytes=GB(1)),
+    gates=(
+        Gate("single_stream_at_80ms", lambda m: m["rate_rtt80_s1"] < Gbps(0.3),
+             "< 0.3 Gb/s: one 2 MiB-window stream is window/RTT bound at 80 ms"),
+        Gate("parallel_streams_at_80ms", lambda m: m["rate_rtt80_s64"] > Gbps(9),
+             "> 9 Gb/s (paper: line rate at 80 ms given NSD parallelism)"),
+        Gate("parallelism_gain_at_80ms", lambda m: m["parallelism_gain_at_80ms"] > 20,
+             "> 20x from 1 to 64 streams at 80 ms"),
+        Gate("monotone_in_streams",
+             lambda m: all(
+                 m[f"rate_rtt{rtt}_s{a}"] <= m[f"rate_rtt{rtt}_s{b}"]
+                 for rtt in (2, 20, 80, 160) for a, b in ((1, 4), (4, 16), (16, 64))),
+             "rate non-decreasing in streams at every RTT"),
+    ),
+)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.core.cluster import Gfs, NsdSpec
 from repro.core.multicluster import MountAuthError
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import Experiment, ExperimentResult, Gate
 from repro.util.tables import Table
 from repro.util.units import Gbps, MB, MiB, fmt_rate, fmt_time
 from repro.workloads.viz import VizReader
@@ -100,7 +100,26 @@ def run_e9(read_bytes: float = MB(128)) -> ExperimentResult:
     return result
 
 
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.harness import format_result
-
-    print(format_result(run_e9()))
+E9 = Experiment(
+    "E9", "auth", run_e9,
+    quick=dict(read_bytes=MB(48)),
+    gates=(
+        Gate("rsa_handshake_cost",
+             lambda m: m["mount_time_AUTHONLY"] > m["mount_time_EMPTY"],
+             "AUTHONLY mount slower than EMPTY (RSA handshake round trips)"),
+        Gate("authonly_data_path_free",
+             lambda m: abs(m["read_rate_AUTHONLY"] - m["read_rate_EMPTY"])
+             < 0.05 * m["read_rate_AUTHONLY"],
+             "AUTHONLY read rate within 5% of EMPTY (no data-path cost)"),
+        Gate("aes128_tax",
+             lambda m: m["read_rate_AES128"] < 0.8 * m["read_rate_AUTHONLY"],
+             "AES128 < 0.8 x AUTHONLY read rate (encryption tax)"),
+        Gate("aes256_below_aes128",
+             lambda m: m["read_rate_AES256"] < m["read_rate_AES128"],
+             "AES256 slower than AES128 (cipher-strength order)"),
+        Gate("3des_below_aes256", lambda m: m["read_rate_3DES"] < m["read_rate_AES256"],
+             "3DES slower than AES256 (cipher-strength order)"),
+        Gate("rw_on_ro_refused", lambda m: m["rw_on_ro_refused"] == 1.0,
+             "== 1 (paper: per-filesystem ro/rw grants are enforced)"),
+    ),
+)

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import Experiment, ExperimentResult, Gate
 from repro.topology.sdsc2005 import build_sdsc2005
 from repro.util.tables import Table
-from repro.util.units import MiB
+from repro.util.units import GB, MiB
 from repro.workloads.mpiio import mpiio_collective
 
 DEFAULT_COUNTS = (1, 2, 4, 8, 16, 32, 48, 64)
@@ -96,7 +96,20 @@ def run_fig11(
     return result
 
 
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.harness import format_result
-
-    print(format_result(run_fig11()))
+E4 = Experiment(
+    "E4", "Fig 11 scaling", run_fig11,
+    quick=dict(node_counts=(1, 8, 32), region_bytes=MiB(32),
+               nsd_servers=32, ds4100_count=16),
+    gates=(
+        Gate("max_read_floor", lambda m: m["max_read"] > GB(2.5),
+             "> 2.5 GB/s (paper: reads scale to almost 6 GB/s)"),
+        Gate("max_read_ceiling", lambda m: m["max_read"] < GB(8),
+             "< 8 GB/s (paper: 8 GB/s theoretical network maximum)"),
+        Gate("write_below_read", lambda m: m["max_write"] < m["max_read"],
+             "max_write < max_read (paper: writes plateau lower)"),
+        Gate("rw_gap_at_max", lambda m: m["rw_gap_at_max"] > 1.4,
+             "> 1.4 (paper: the read/write gap 'not yet understood')"),
+        Gate("read_scaling_4x", lambda m: m["read_scaling_4x"] > 3.0,
+             "> 3 (near-linear read scaling from 1 to 4 nodes)"),
+    ),
+)

@@ -8,10 +8,10 @@ rate".
 
 from __future__ import annotations
 
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import Experiment, ExperimentResult, Gate
 from repro.topology.sc02 import build_sc02
 from repro.util.tables import Table
-from repro.util.units import GB, fmt_rate
+from repro.util.units import GB, MB, fmt_rate
 
 
 def run_fig2(
@@ -51,7 +51,17 @@ def run_fig2(
     return result
 
 
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.harness import format_result
-
-    print(format_result(run_fig2()))
+E1 = Experiment(
+    "E1", "Fig 2 SC'02", run_fig2,
+    quick=dict(total_bytes=GB(4)),
+    gates=(
+        Gate("mean_rate_band", lambda m: MB(650) < m["mean_rate"] <= m["ceiling"],
+             "650 MB/s < mean_rate <= ceiling (paper: >720 MB/s of 8 Gb/s)"),
+        Gate("mean_rate_fraction", lambda m: m["mean_rate"] > 0.7 * m["ceiling"],
+             "mean_rate > 0.7 x ceiling (paper: 'a very healthy fraction')"),
+        Gate("sustained_fraction", lambda m: m["sustained_fraction"] > 0.9,
+             "> 0.9 (paper: 'the very sustainable character of the peak')"),
+        Gate("peak_rate_sane", lambda m: m["peak_rate"] < GB(1),
+             "< 1 GB/s (physically sane over the 80 ms path)"),
+    ),
+)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import Experiment, ExperimentResult, Gate
 from repro.topology.sc03 import build_sc03
 from repro.util.tables import Table
-from repro.util.units import GB, MiB, fmt_bits_rate, fmt_rate
+from repro.util.units import GB, MB, Gbps, MiB, fmt_bits_rate, fmt_rate
 from repro.workloads.viz import VizReader
 
 
@@ -93,7 +93,18 @@ def run_fig5(
     return result
 
 
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.harness import format_result
-
-    print(format_result(run_fig5()))
+E2 = Experiment(
+    "E2", "Fig 5 SC'03", run_fig5,
+    quick=dict(nsd_servers=20, sdsc_viz_nodes=8, ncsa_viz_nodes=2,
+               per_node_bytes=MB(600), restart_after=3.0, restart_pause=2.0),
+    gates=(
+        Gate("peak_rate_band", lambda m: Gbps(8) < m["peak_rate"] <= Gbps(10),
+             "8 Gb/s < peak_rate <= 10 Gb/s (paper: peak 8.96 Gb/s of the 10 GbE)"),
+        Gate("median_rate", lambda m: m["median_rate"] > 1e9,
+             "> 1 GB/s (paper: 'over 1 GB/s was easily sustained')"),
+        Gate("restart_dip", lambda m: m["dip_rate"] < 0.75 * m["peak_rate"],
+             "dip_rate < 0.75 x peak_rate (paper: the rate dips at app restart)"),
+        Gate("restart_recovery", lambda m: m["recovery_rate"] > 0.6 * m["peak_rate"],
+             "recovery_rate > 0.6 x peak_rate (paper: the rate recovers)"),
+    ),
+)

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import Experiment, ExperimentResult, Gate
 from repro.topology.sc04 import build_sc04
 from repro.util.tables import Table
-from repro.util.units import MB, MiB, fmt_bits_rate
+from repro.util.units import MB, Gbps, MiB, fmt_bits_rate
 from repro.workloads.base import payload_for
 
 
@@ -132,7 +132,19 @@ def run_fig8(
     return result
 
 
-if __name__ == "__main__":  # pragma: no cover
-    from repro.experiments.harness import format_result
-
-    print(format_result(run_fig8()))
+E3 = Experiment(
+    "E3", "Fig 8 SC'04", run_fig8,
+    quick=dict(nsd_servers=21, clients_per_site=12,
+               per_client_phase_bytes=MB(96), phases=2),
+    gates=(
+        Gate("lane_min_mean", lambda m: m["lane_min_mean"] > Gbps(6),
+             "> 6 Gb/s (paper: each 10 GbE lane between 7 and 9 Gb/s)"),
+        Gate("lane_max_mean", lambda m: m["lane_max_mean"] < Gbps(9.5),
+             "< 9.5 Gb/s (paper: each 10 GbE lane between 7 and 9 Gb/s)"),
+        Gate("aggregate_mean", lambda m: Gbps(20) < m["aggregate_mean"] < Gbps(28.5),
+             "20 Gb/s < aggregate_mean < 28.5 Gb/s (paper: ~24 Gb/s, stable)"),
+        Gate("read_write_balance",
+             lambda m: 0.6 < m["read_mean"] / m["write_mean"] < 1.67,
+             "0.6 < read/write < 1.67 (paper: 'remarkably constant')"),
+    ),
+)

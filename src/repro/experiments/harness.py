@@ -1,9 +1,9 @@
-"""Experiment result carrier and rendering."""
+"""Experiment result carrier, declaration record and rendering."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.util.tables import Table
 from repro.util.timeseries import TimeSeries
@@ -37,6 +37,66 @@ class ExperimentResult:
                 f"experiment {self.exp_id} has no metric {name!r}; "
                 f"available: {sorted(self.metrics)}"
             ) from None
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One acceptance check on a full-size run: a named predicate over
+    ``ExperimentResult.metrics``. ``claim`` states the threshold and, where
+    the paper gives one, the paper's number; a failure quotes it next to
+    the measured values of every metric ``check`` read."""
+
+    name: str
+    check: Callable[[Mapping[str, float]], bool]
+    claim: str
+
+
+class _ReadLog(dict):
+    """A metrics dict that records which names a gate read."""
+
+    def __init__(self, metrics: Mapping[str, float]) -> None:
+        super().__init__(metrics)
+        self.names: List[str] = []
+
+    def __getitem__(self, name: str) -> float:
+        if name not in self.names:
+            self.names.append(name)
+        return super().__getitem__(name)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment's record: its id and label, its runner, the keyword
+    arguments of its quick run, and the gates its full-size run (the
+    runner's defaults) must pass. Quick runs shrink workloads below the
+    sizes the gates' shapes need, so they are not gated."""
+
+    exp_id: str
+    label: str
+    runner: Callable[..., ExperimentResult]
+    quick: Mapping[str, Any]
+    gates: Tuple[Gate, ...]
+
+    def run(self, quick: bool = False, **overrides: Any) -> ExperimentResult:
+        kwargs = {**self.quick, **overrides} if quick else overrides
+        return self.runner(**kwargs)
+
+    def failed_gates(self, metrics: Mapping[str, float]) -> List[str]:
+        """One message per gate ``metrics`` fails, naming the gate, the
+        measured values it read and its claim."""
+        failures = []
+        for gate in self.gates:
+            log = _ReadLog(metrics)
+            try:
+                if gate.check(log):
+                    continue
+                measured = ", ".join(f"{n} = {metrics[n]:.4g}" for n in log.names)
+            except KeyError:
+                measured = f"metric {log.names[-1]!r} missing"
+            failures.append(
+                f"{self.exp_id} {gate.name}: {measured}; expected {gate.claim}"
+            )
+        return failures
 
 
 def sparkline(series: TimeSeries, width: int = 60) -> str:

@@ -2,13 +2,19 @@
 
 Usage::
 
-    python -m repro.experiments.report            # full-size runs (slow)
-    python -m repro.experiments.report --quick    # scaled-down, a few min
+    python -m repro.experiments.report            # full-size runs, gated (slow)
+    python -m repro.experiments.report --quick    # scaled-down, not gated
     python -m repro.experiments.report --only E1 E8 A3
     python -m repro.experiments.report --out report.txt
     python -m repro.experiments.report --quick --profile   # + simulator counters
     python -m repro.experiments.report --quick --profile-json prof.json
     python -m repro.experiments.report --quick --trace-dir traces/
+
+A full-size run checks each experiment's declared gates (the paper's
+shapes, :class:`~repro.experiments.harness.Gate`) and prints a tally in
+its section; after the whole report is printed and written, it lists
+every failed gate and exits 1. ``--quick`` runs are not gated: their
+workloads are too small for some of the shapes.
 
 ``--profile`` runs every experiment with the :data:`repro.obs.OBS`
 registry enabled and prints each counter family's total over the run
@@ -32,113 +38,55 @@ import json
 import os
 import sys
 import time
-from typing import Callable, Dict, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Tuple
 
-from repro.experiments.harness import ExperimentResult, format_result
-from repro.util.units import GB, KiB, MB, MiB
+from repro.experiments.harness import Experiment, ExperimentResult, format_result
+
+
+def experiments() -> Dict[str, Experiment]:
+    """Every experiment's declaration, by id, in report order."""
+    from repro.experiments.ablations import A1, A2, A3, A4, A5, A6
+    from repro.experiments.e5_anl_remote import E5
+    from repro.experiments.e6_deisa import E6
+    from repro.experiments.e7_staging_vs_gfs import E7
+    from repro.experiments.e8_latency import E8
+    from repro.experiments.e9_auth import E9
+    from repro.experiments.e10_hsm import E10
+    from repro.experiments.e11_bgl import E11
+    from repro.experiments.e12_scec import E12
+    from repro.experiments.e13_chaos import E13
+    from repro.experiments.e14_integrity import E14
+    from repro.experiments.e15_gateway import E15
+    from repro.experiments.e16_failover import E16
+    from repro.experiments.e17_fleet import E17
+    from repro.experiments.fig2_sc02 import E1
+    from repro.experiments.fig5_sc03 import E2
+    from repro.experiments.fig8_sc04 import E3
+    from repro.experiments.fig11_scaling import E4
+
+    return {
+        e.exp_id: e
+        for e in (E1, E2, E3, E4, E5, E6, E7, E8, E9, E10, E11, E12, E13,
+                  E14, E15, E16, E17, A1, A2, A3, A4, A5, A6)
+    }
 
 
 def _registry(quick: bool) -> Dict[str, Tuple[str, Callable[[], ExperimentResult]]]:
-    """id → (description, thunk). Quick mode shrinks workloads, not shapes."""
-    from repro.experiments.ablations import (
-        run_a1_blocksize,
-        run_a2_server_scaling,
-        run_a3_window,
-        run_a4_upgrade_path,
-        run_a5_degraded,
-        run_a6_loss,
-    )
-    from repro.experiments.e12_scec import run_e12_scec
-    from repro.experiments.e13_chaos import run_e13, run_e13_quick
-    from repro.experiments.e14_integrity import run_e14, run_e14_quick
-    from repro.experiments.e15_gateway import run_e15, run_e15_quick
-    from repro.experiments.e16_failover import run_e16, run_e16_quick
-    from repro.experiments.e17_fleet import run_e17, run_e17_quick
-    from repro.experiments.e5_anl_remote import run_e5_anl
-    from repro.experiments.e6_deisa import run_e6_deisa
-    from repro.experiments.e7_staging_vs_gfs import run_e7
-    from repro.experiments.e8_latency import run_e8
-    from repro.experiments.e9_auth import run_e9
-    from repro.experiments.e10_hsm import run_e10
-    from repro.experiments.e11_bgl import run_e11_bgl
-    from repro.experiments.fig2_sc02 import run_fig2
-    from repro.experiments.fig5_sc03 import run_fig5
-    from repro.experiments.fig8_sc04 import run_fig8
-    from repro.experiments.fig11_scaling import run_fig11
-
-    if quick:
-        return {
-            "E1": ("Fig 2 SC'02", lambda: run_fig2(total_bytes=GB(4))),
-            "E2": ("Fig 5 SC'03", lambda: run_fig5(
-                nsd_servers=20, sdsc_viz_nodes=8, ncsa_viz_nodes=2,
-                per_node_bytes=MB(600), restart_after=3.0, restart_pause=2.0)),
-            "E3": ("Fig 8 SC'04", lambda: run_fig8(
-                nsd_servers=21, clients_per_site=12,
-                per_client_phase_bytes=MB(96), phases=2)),
-            "E4": ("Fig 11 scaling", lambda: run_fig11(
-                node_counts=(1, 8, 32), region_bytes=MiB(32),
-                nsd_servers=32, ds4100_count=16)),
-            "E5": ("ANL remote", lambda: run_e5_anl(anl_nodes=16, per_node_bytes=MB(64))),
-            "E6": ("DEISA", lambda: run_e6_deisa(per_pair_bytes=MB(80))),
-            "E7": ("staging vs GFS", lambda: run_e7(
-                dataset_bytes=GB(2), output_bytes=MB(128),
-                compute_seconds=30.0, fractions=(0.02, 1.0), ncsa_clients=4)),
-            "E8": ("latency ablation", lambda: run_e8(nbytes=GB(1))),
-            "E9": ("auth", lambda: run_e9(read_bytes=MB(48))),
-            "E10": ("HSM", lambda: run_e10(files=12, file_bytes=int(MB(24)),
-                                           blocks_per_nsd=96)),
-            "E11": ("BG/L", lambda: run_e11_bgl(io_nodes=8,
-                                                per_io_node_bytes=MB(64),
-                                                nsd_servers=32)),
-            "E12": ("SCEC capacity", lambda: run_e12_scec(
-                ranks=8, scaled_bytes=MB(256), nsd_servers=32,
-                ds4100_count=16)),
-            "E13": ("chaos soak", run_e13_quick),
-            "E14": ("integrity soak", run_e14_quick),
-            "E15": ("caching gateway", run_e15_quick),
-            "E16": ("manager failover", run_e16_quick),
-            "E17": ("fleet scale", run_e17_quick),
-            "A1": ("block size", lambda: run_a1_blocksize(
-                block_sizes=(KiB(256), MiB(1), MiB(4)), read_bytes=MB(96))),
-            "A2": ("server scaling", lambda: run_a2_server_scaling(
-                server_counts=(8, 16), clients=12, region_bytes=MiB(16))),
-            "A3": ("TCP window", lambda: run_a3_window()),
-            "A4": ("GbE upgrade", lambda: run_a4_upgrade_path(
-                clients=12, nsd_servers=4, region_bytes=MiB(16))),
-            "A5": ("degraded/failover", lambda: run_a5_degraded(read_bytes=MB(150))),
-            "A6": ("loss sweep", lambda: run_a6_loss(losses=(0.0, 1e-5, 1e-3))),
-        }
+    """id → (description, thunk). Quick mode shrinks workloads below the
+    sizes some paper shapes need, which is why only full-size runs are
+    gated."""
     return {
-        "E1": ("Fig 2 SC'02", run_fig2),
-        "E2": ("Fig 5 SC'03", run_fig5),
-        "E3": ("Fig 8 SC'04", run_fig8),
-        "E4": ("Fig 11 scaling", run_fig11),
-        "E5": ("ANL remote", run_e5_anl),
-        "E6": ("DEISA", run_e6_deisa),
-        "E7": ("staging vs GFS", run_e7),
-        "E8": ("latency ablation", run_e8),
-        "E9": ("auth", run_e9),
-        "E10": ("HSM", run_e10),
-        "E11": ("BG/L", run_e11_bgl),
-        "E12": ("SCEC capacity", run_e12_scec),
-        "E13": ("chaos soak", run_e13),
-        "E14": ("integrity soak", run_e14),
-        "E15": ("caching gateway", run_e15),
-        "E16": ("manager failover", run_e16),
-        "E17": ("fleet scale", run_e17),
-        "A1": ("block size", run_a1_blocksize),
-        "A2": ("server scaling", run_a2_server_scaling),
-        "A3": ("TCP window", run_a3_window),
-        "A4": ("GbE upgrade", run_a4_upgrade_path),
-        "A5": ("degraded/failover", run_a5_degraded),
-        "A6": ("loss sweep", run_a6_loss),
+        exp_id: (e.label, partial(e.run, quick))
+        for exp_id, e in experiments().items()
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
-                        help="scaled-down runs (minutes, same shapes)")
+                        help="scaled-down runs (seconds each); not gated, "
+                             "as some paper shapes need full size")
     parser.add_argument("--only", nargs="*", metavar="ID",
                         help="run only these experiment ids (e.g. E1 A3)")
     parser.add_argument("--out", metavar="FILE", help="also write to FILE")
@@ -159,11 +107,11 @@ def main(argv=None) -> int:
                              "`python -m repro health`)")
     args = parser.parse_args(argv)
 
-    registry = _registry(args.quick)
-    wanted = args.only or list(registry)
-    unknown = [e for e in wanted if e not in registry]
+    declared = experiments()
+    wanted = args.only or list(declared)
+    unknown = [e for e in wanted if e not in declared]
     if unknown:
-        parser.error(f"unknown experiment ids {unknown}; known: {list(registry)}")
+        parser.error(f"unknown experiment ids {unknown}; known: {list(declared)}")
 
     from repro.sim.trace import TRACE
 
@@ -178,17 +126,18 @@ def main(argv=None) -> int:
 
     sections = []
     profile_snapshots: Dict[str, dict] = {}
+    gate_failures: List[str] = []
     for exp_id in wanted:
-        label, thunk = registry[exp_id]
+        exp = declared[exp_id]
         t0 = time.time()
-        print(f"[{exp_id}] {label} ...", file=sys.stderr, flush=True)
+        print(f"[{exp_id}] {exp.label} ...", file=sys.stderr, flush=True)
         if args.trace_dir:
             TRACE.enable()
         if telemetry:
             OBS.reset()
             OBS.enable()
         try:
-            result = thunk()
+            result = exp.run(args.quick)
         finally:
             TRACE.disable()
             OBS.disable()
@@ -209,7 +158,14 @@ def main(argv=None) -> int:
                   file=sys.stderr, flush=True)
         if telemetry:
             OBS.reset()  # drop the callbacks holding this run's universes
-        section = format_result(result) + f"\n({elapsed:.1f}s wall)"
+        section = format_result(result)
+        if not args.quick:
+            failed = exp.failed_gates(result.metrics)
+            gate_failures += failed
+            passed = len(exp.gates) - len(failed)
+            section += f"\ngates: {passed}/{len(exp.gates)} passed"
+            section += "".join(f"\n  FAILED {msg}" for msg in failed)
+        section += f"\n({elapsed:.1f}s wall)"
         if args.profile:
             section += "\n" + _profile_table(profile_snapshots[exp_id])
         sections.append(section)
@@ -225,6 +181,11 @@ def main(argv=None) -> int:
             json.dump(profile_snapshots, fh, indent=2, sort_keys=True)
         print(f"profile counters written to {args.profile_json}",
               file=sys.stderr)
+    if gate_failures:
+        print(f"\n{len(gate_failures)} gate(s) failed:", file=sys.stderr)
+        for msg in gate_failures:
+            print(f"  {msg}", file=sys.stderr)
+        return 1
     return 0
 
 

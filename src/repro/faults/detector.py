@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
-from repro.obs.registry import OBS
+from repro.obs.registry import OBS, _pid
 from repro.sim.kernel import Event, Interrupt, Process, Simulation
 from repro.sim.trace import TRACE
 
@@ -207,7 +207,9 @@ class DiskLeaseDetector:
         self._pending[node] = (crash if crash is not None else now, now)
         self.detections.append((node, now))
         if OBS.enabled and crash is not None:
-            OBS.observe("faults.detection_latency", now - crash)
+            OBS.observe(
+                "faults.detection_latency", now - crash, sim=str(_pid(self.sim))
+            )
         if TRACE.enabled:
             TRACE.instant(
                 self.sim, "lease.expired", cat="fault.detect",
@@ -224,7 +226,7 @@ class DiskLeaseDetector:
         crash, detected = self._pending.pop(node, (self.sim.now, self.sim.now))
         self.recoveries.append((node, crash, detected, self.sim.now))
         if OBS.enabled:
-            OBS.observe("faults.mttr", self.sim.now - crash)
+            OBS.observe("faults.mttr", self.sim.now - crash, sim=str(_pid(self.sim)))
         if TRACE.enabled:
             TRACE.instant(
                 self.sim, "lease.renewed", cat="fault.recover",

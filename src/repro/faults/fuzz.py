@@ -413,6 +413,8 @@ class _FileModel:
 
     def compare(self, offset: int, got: bytes) -> Optional[str]:
         """First known-byte mismatch in ``got`` vs the model, or None."""
+        if got == self.data[offset:offset + len(got)]:
+            return None
         for i, byte in enumerate(got):
             pos = offset + i
             if pos >= self.size or not self.known[pos]:

@@ -47,7 +47,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.tokens import RW, HeldToken
-from repro.obs.registry import OBS
+from repro.obs.registry import OBS, _pid
 from repro.sim.kernel import Interrupt, Process, Simulation
 from repro.sim.trace import TRACE
 
@@ -188,8 +188,9 @@ class RecoveryManager:
         t_done = self.sim.now
         self.takeovers.append((dead, successor, t_detect, t_done))
         if OBS.enabled:
-            OBS.observe("tokens.takeover_latency", t_done - t_detect)
-            OBS.observe("tokens.takeover_mttr", t_done - t_crash)
+            sim = str(_pid(self.sim))
+            OBS.observe("tokens.takeover_latency", t_done - t_detect, sim=sim)
+            OBS.observe("tokens.takeover_mttr", t_done - t_crash, sim=sim)
         if TRACE.enabled:
             TRACE.instant(
                 self.sim, "tokens.takeover.complete", cat="fault.control",

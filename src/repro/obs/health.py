@@ -209,7 +209,8 @@ def control_plane_rollup(rows: List[dict]) -> List[dict]:
     One row per signal: control-plane outages (``tokens.manager_down``),
     manager takeover latency and MTTR, and data-plane detection latency
     and node MTTR — present only for runs that armed the fault subsystem,
-    so nominal experiments render no section at all.
+    so nominal experiments render no section at all. The latency rows are
+    per universe (``sim``): E16's riding fuzz cells get rows of their own.
     """
     last = _last_row(rows)
     if last is None:
@@ -221,8 +222,8 @@ def control_plane_rollup(rows: List[dict]) -> List[dict]:
         if parse_key(key)[0] == MANAGER_DOWN
     )
     if downs:
-        out.append({"signal": "manager outages", "count": int(downs),
-                    "mean": None, "max": None})
+        out.append({"signal": "manager outages", "sim": "-",
+                    "count": int(downs), "mean": None, "max": None})
     for family, label in (
         (TAKEOVER_LATENCY, "manager takeover latency"),
         (TAKEOVER_MTTR, "manager takeover MTTR"),
@@ -230,13 +231,15 @@ def control_plane_rollup(rows: List[dict]) -> List[dict]:
         (FAULT_MTTR, "node MTTR"),
     ):
         for key in sorted(last.get("histograms", {})):
-            if parse_key(key)[0] != family:
+            key_family, labels = parse_key(key)
+            if key_family != family:
                 continue
             h = Histogram.from_dict(last["histograms"][key])
             if h.count == 0:
                 continue
             out.append({
                 "signal": label,
+                "sim": labels.get("sim", "-"),
                 "count": h.count,
                 "mean": h.sum / h.count,
                 "max": h.max,
@@ -438,9 +441,9 @@ def render_experiment(exp: dict) -> List[str]:
         lines.append("")
         lines.append("  Control plane / failures:")
         lines += _table(
-            ["signal", "events", "mean", "max"],
+            ["signal", "sim", "events", "mean", "max"],
             [
-                [c["signal"], str(c["count"]),
+                [c["signal"], c["sim"], str(c["count"]),
                  "-" if c["mean"] is None else f"{c['mean'] * 1e3:.1f} ms",
                  "-" if c["max"] is None else f"{c['max'] * 1e3:.1f} ms"]
                 for c in control

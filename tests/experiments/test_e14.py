@@ -1,10 +1,6 @@
 """E14 integrity soak: acceptance criteria as executable assertions."""
 
-from repro.experiments.e14_integrity import (
-    damage_at_rest,
-    pattern_chunk,
-    run_e14_quick,
-)
+from repro.experiments.e14_integrity import E14, damage_at_rest, pattern_chunk
 
 
 class TestPatternChunk:
@@ -20,7 +16,7 @@ class TestPatternChunk:
 class TestE14Acceptance:
     @classmethod
     def setup_class(cls):
-        cls.result = run_e14_quick()
+        cls.result = E14.run(quick=True)
         cls.metrics = cls.result.metrics
 
     def test_zero_wrong_bytes(self):
@@ -64,7 +60,7 @@ class TestE14Acceptance:
         assert self.metrics["scrub_overhead_ratio"] > 0.0
 
     def test_same_seed_identical_metrics(self):
-        again = run_e14_quick()
+        again = E14.run(quick=True)
         assert again.metrics == self.metrics  # bit-identical, not approx
 
 

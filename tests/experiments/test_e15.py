@@ -1,6 +1,6 @@
 """E15 caching gateway: acceptance criteria as executable assertions."""
 
-from repro.experiments.e15_gateway import run_e15_quick, site_floor_s
+from repro.experiments.e15_gateway import E15, site_floor_s
 from repro.util.units import MiB
 
 FULL_CELLS = ("r20_f100_w0", "r20_f100_w25", "r80_f100_w0", "r80_f100_w25")
@@ -12,7 +12,7 @@ ALL_CELLS = FULL_CELLS + (
 class TestE15Acceptance:
     @classmethod
     def setup_class(cls):
-        cls.result = run_e15_quick()
+        cls.result = E15.run(quick=True)
         cls.metrics = cls.result.metrics
 
     def test_warm_reads_within_2x_site_floor(self):
@@ -65,6 +65,7 @@ class TestE15Acceptance:
         assert self.metrics["chaos_reads_ok"] == 140.0
         assert self.metrics["chaos_stale_hits"] >= 1.0
         assert self.metrics["chaos_lost_acked_writes"] == 0.0
+        assert self.metrics["chaos_conflicts"] == 0.0
         assert (
             self.metrics["chaos_writes_flushed"]
             == self.metrics["chaos_write_acks"]
@@ -73,5 +74,5 @@ class TestE15Acceptance:
         assert self.metrics["chaos_dirty_queue_end"] == 0.0
 
     def test_same_seed_identical_metrics(self):
-        again = run_e15_quick()
+        again = E15.run(quick=True)
         assert again.metrics == self.metrics  # bit-identical, not approx

@@ -1,12 +1,12 @@
 """E16 acceptance: manager failover with zero client-visible failures."""
 
-from repro.experiments.e16_failover import run_e16_quick
+from repro.experiments.e16_failover import E16
 
 
 class TestE16Acceptance:
     @classmethod
     def setup_class(cls):
-        cls.result = run_e16_quick()
+        cls.result = E16.run(quick=True)
         cls.metrics = cls.result.metrics
 
     def test_no_client_visible_failures(self):
@@ -38,3 +38,7 @@ class TestE16Acceptance:
         assert self.metrics["fuzz_cases_passed"] == self.metrics["fuzz_cases"]
         assert self.metrics["fuzz_violations"] == 0.0
         assert self.metrics["fuzz_ops"] > 0
+
+    def test_same_seed_identical_metrics(self):
+        again = E16.run(quick=True)
+        assert again.metrics == self.metrics  # bit-identical, not approx

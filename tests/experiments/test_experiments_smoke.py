@@ -1,7 +1,8 @@
 """Smoke tests: every experiment harness runs (scaled down) and produces a
 well-formed result whose qualitative shape holds.
 
-The full-size runs live in benchmarks/; these keep the harness code under
+Full-size runs and their paper gates are ``python -m repro report``
+(each experiment's declared ``Gate``s); these keep the harness code under
 unit-test coverage at a few seconds each.
 """
 

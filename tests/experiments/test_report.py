@@ -1,11 +1,14 @@
 """Tests for the combined report runner."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.experiments.report import _registry, main, run_trace
+from repro.experiments.harness import Experiment, Gate
+from repro.experiments.report import _registry, experiments, main, run_trace
 from repro.obs.export import validate_profile_snapshot
+from repro.util.units import Gbps
 
 ALL_IDS = [f"E{i}" for i in range(1, 18)] + [f"A{i}" for i in range(1, 7)]
 
@@ -18,6 +21,67 @@ class TestRegistry:
     def test_entries_are_callable(self):
         for label, thunk in _registry(True).values():
             assert callable(thunk) and label
+
+    def test_every_experiment_declares_gates(self):
+        for exp_id, exp in experiments().items():
+            assert exp.exp_id == exp_id
+            assert exp.gates, exp_id
+            names = [gate.name for gate in exp.gates]
+            assert len(set(names)) == len(names), exp_id
+
+
+class TestGates:
+    """Full-size runs are gated; A3, E8 and A6 are bare-engine sweeps
+    that run at full size in well under a second."""
+
+    ONLY = ["--only", "A3", "E8", "A6"]
+
+    def test_full_run_prints_each_tally(self, capsys):
+        assert main(self.ONLY) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("gates: 4/4 passed") == 3
+        assert "FAILED" not in captured.out + captured.err
+
+    def test_failed_gate_reported_after_whole_report(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import repro.experiments.e8_latency as e8
+
+        impossible = Gate(
+            "parallel_streams_at_80ms",
+            lambda m: m["rate_rtt80_s64"] > Gbps(99),
+            "> 99 Gb/s (paper: line rate at 80 ms)",
+        )
+        gates = tuple(
+            impossible if gate.name == impossible.name else gate
+            for gate in e8.E8.gates
+        )
+        monkeypatch.setattr(e8, "E8", dataclasses.replace(e8.E8, gates=gates))
+        out = tmp_path / "report.txt"
+        assert main(self.ONLY + ["--out", str(out)]) == 1
+        text = out.read_text()
+        assert all(f"{exp_id}:" in text for exp_id in ("A3", "E8", "A6"))
+        assert "gates: 3/4 passed" in text
+        err = capsys.readouterr().err
+        assert "1 gate(s) failed" in err
+        [line] = [ln for ln in err.splitlines() if "parallel_streams" in ln]
+        assert "E8 parallel_streams_at_80ms: rate_rtt80_s64 = " in line
+        assert "expected > 99 Gb/s (paper: line rate at 80 ms)" in line
+
+    def test_quick_run_evaluates_no_gate(self, capsys, monkeypatch):
+        def refuse(self, metrics):
+            raise AssertionError("quick runs are not gated")
+
+        monkeypatch.setattr(Experiment, "failed_gates", refuse)
+        assert main(["--quick", "--only", "A3"]) == 0
+        assert "gates:" not in capsys.readouterr().out
+
+    def test_missing_metric_fails_its_gate(self):
+        failures = experiments()["A6"].failed_gates({"single_0": 1.0})
+        assert len(failures) == 4
+        assert "A6 window_limited_at_1e-6: metric 'single_1em06' missing" in (
+            failures[0]
+        )
 
 
 class TestCli:

@@ -153,10 +153,10 @@ class TestDeadHolderTokens:
 
 class TestE13Determinism:
     def test_same_seed_identical_metrics(self):
-        from repro.experiments.e13_chaos import run_e13_quick
+        from repro.experiments.e13_chaos import E13
 
-        a = run_e13_quick()
-        b = run_e13_quick()
+        a = E13.run(quick=True)
+        b = E13.run(quick=True)
         assert a.metrics == b.metrics  # bit-identical, not approx
         assert a.metrics["reads_failed"] == 0.0
         assert a.metrics["failures_detected"] == 1.0
@@ -198,3 +198,12 @@ class TestTelemetry:
             value for key, value in reading["gauges"].items()
             if key.startswith("faults.detected_down")
         ) == 2.0
+        # The detection-latency histogram is observed inline, not by a
+        # callback; it too keeps one series per universe.
+        latencies = {
+            key: hist for key, hist in reading["histograms"].items()
+            if key.startswith("faults.detection_latency")
+        }
+        assert len(latencies) == 2
+        assert all("{sim=" in key for key in latencies)
+        assert [hist["count"] for hist in latencies.values()] == [1, 1]

@@ -28,8 +28,8 @@ def capture(res) -> dict:
 
 def main() -> None:
     from repro.experiments.e8_latency import run_e8
-    from repro.experiments.e13_chaos import run_e13_quick
-    from repro.experiments.e14_integrity import run_e14_quick
+    from repro.experiments.e13_chaos import E13
+    from repro.experiments.e14_integrity import E14
     from repro.experiments.fig8_sc04 import run_fig8
     from repro.util.units import GB, MB
 
@@ -43,8 +43,8 @@ def main() -> None:
                 phases=2,
             )
         ),
-        "E13": capture(run_e13_quick()),
-        "E14": capture(run_e14_quick()),
+        "E13": capture(E13.run(quick=True)),
+        "E14": capture(E14.run(quick=True)),
     }
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")

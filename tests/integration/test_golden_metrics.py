@@ -71,15 +71,15 @@ def test_e3_quick_bit_identical():
 
 
 def test_e13_quick_bit_identical():
-    from repro.experiments.e13_chaos import run_e13_quick
+    from repro.experiments.e13_chaos import E13
 
-    _assert_identical(_capture(run_e13_quick()), _golden("E13"), "E13")
+    _assert_identical(_capture(E13.run(quick=True)), _golden("E13"), "E13")
 
 
 def test_e14_quick_bit_identical():
-    from repro.experiments.e14_integrity import run_e14_quick
+    from repro.experiments.e14_integrity import E14
 
-    _assert_identical(_capture(run_e14_quick()), _golden("E14"), "E14")
+    _assert_identical(_capture(E14.run(quick=True)), _golden("E14"), "E14")
 
 
 # -- coalescing-on vs legacy logical equivalence ------------------------------

@@ -67,28 +67,28 @@ class TestGoldenInvarianceWithTelemetry:
         assert_metrics_match_golden(result, "E3")
 
     def test_e13(self):
-        from repro.experiments.e13_chaos import run_e13_quick
+        from repro.experiments.e13_chaos import E13
 
         with obs_enabled():
-            result = run_e13_quick()
+            result = E13.run(quick=True)
         assert_metrics_match_golden(result, "E13")
         assert result.obs is not None  # telemetry rides outside metrics
 
     def test_e14(self):
-        from repro.experiments.e14_integrity import run_e14_quick
+        from repro.experiments.e14_integrity import E14
 
         with obs_enabled():
-            result = run_e14_quick()
+            result = E14.run(quick=True)
         assert_metrics_match_golden(result, "E14")
         assert result.obs is not None
 
 
 def run_e13_exported(tmp_path, name, seed=0):
-    from repro.experiments.e13_chaos import run_e13_quick
+    from repro.experiments.e13_chaos import E13
 
     out = tmp_path / name
     with obs_enabled():
-        result = run_e13_quick(seed=seed)
+        result = E13.run(quick=True, seed=seed)
         paths = export_metrics_dir(
             OBS, str(out), "E13", meta=result.obs or {}
         )
@@ -216,10 +216,10 @@ class TestE8Telemetry:
 
 class TestE14Telemetry:
     def test_phases_and_zero_failed_reads_slo(self):
-        from repro.experiments.e14_integrity import run_e14_quick
+        from repro.experiments.e14_integrity import E14
 
         with obs_enabled():
-            result = run_e14_quick()
+            result = E14.run(quick=True)
         assert [p["name"] for p in result.obs["phases"]] == [
             "nominal", "partitioned", "recovered",
         ]

@@ -3,6 +3,7 @@
 from repro.obs.export import export_metrics_dir
 from repro.obs.health import (
     client_rollup,
+    control_plane_rollup,
     link_rollup,
     main,
     render_html,
@@ -68,6 +69,18 @@ class TestRollups:
         assert link["samples"] == 3
         assert link["peak"] == 0.75
         assert link["mean"] == 0.5
+
+    def test_control_plane_rows_per_universe(self):
+        reg = MetricsRegistry()
+        reg.inc("tokens.manager_down", node="nsd00")
+        reg.observe("faults.detection_latency", 1.0, sim="1")
+        reg.observe("faults.detection_latency", 0.5, sim="2")
+        rows = control_plane_rollup([reg.scrape(Simulation())])
+        assert [(r["signal"], r["sim"], r["mean"]) for r in rows] == [
+            ("manager outages", "-", None),
+            ("crash detection latency", "1", 1.0),
+            ("crash detection latency", "2", 0.5),
+        ]
 
     def test_empty_rows(self):
         assert client_rollup([]) == []
