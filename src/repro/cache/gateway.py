@@ -202,8 +202,6 @@ class CacheGateway:
             return
         self.lease_breaks += 1
         self.cache.invalidate_ino(ino)
-        if OBS.enabled:
-            OBS.inc("cache.lease.breaks", gw=self.name)
 
     def _ensure_lease(self, gw: str, ino: int):
         """Revalidate ``ino``'s lease if missing/expired (one WAN RT,
@@ -324,24 +322,24 @@ class CacheGateway:
     def _served_hit(self, ino, bs, t0) -> None:
         self.served_bytes += bs
         if OBS.enabled:
-            OBS.inc("cache.read.ok", gw=self.name)
+            OBS.inc(self.sim, "cache.read.ok", gw=self.name)
             OBS.observe(
-                "cache.read.latency", self.sim.now - t0,
+                self.sim, "cache.read.latency", self.sim.now - t0,
                 gw=self.name, tier="hit",
             )
             lease = self._lease.get(ino)
             if lease is not None:
                 OBS.observe(
-                    "cache.staleness", self.sim.now - lease.validated_at,
+                    self.sim, "cache.staleness", self.sim.now - lease.validated_at,
                     gw=self.name,
                 )
 
     def _served_miss(self, bs, t0) -> None:
         self.served_bytes += bs
         if OBS.enabled:
-            OBS.inc("cache.read.ok", gw=self.name)
+            OBS.inc(self.sim, "cache.read.ok", gw=self.name)
             OBS.observe(
-                "cache.read.latency", self.sim.now - t0,
+                self.sim, "cache.read.latency", self.sim.now - t0,
                 gw=self.name, tier="miss",
             )
 
@@ -449,7 +447,7 @@ class CacheGateway:
         yield self.messages.send(gw, client, nbytes=CONTROL_BYTES)
         if OBS.enabled:
             OBS.observe(
-                "cache.write.latency", self.sim.now - t0,
+                self.sim, "cache.write.latency", self.sim.now - t0,
                 gw=self.name, mode=self.mode,
             )
 
@@ -553,8 +551,6 @@ class CacheGateway:
                 and writer not in self.nodes
             ):
                 self.conflicts += 1
-                if OBS.enabled:
-                    OBS.inc("cache.conflicts", gw=self.name)
             self._admit(ino)
             self.lease_renewals += 1
 

@@ -233,10 +233,12 @@ class MountedFs:
         try:
             data = yield from gen
         except Exception:
-            OBS.inc("client.read.errors", client=self.node)
+            OBS.inc(self.sim, "client.read.errors", client=self.node)
             raise
-        OBS.observe("client.read.latency", self.sim.now - t0, client=self.node)
-        OBS.inc("client.read.ok", client=self.node)
+        OBS.observe(
+            self.sim, "client.read.latency", self.sim.now - t0, client=self.node
+        )
+        OBS.inc(self.sim, "client.read.ok", client=self.node)
         return data
 
     def write(self, handle: FileHandle, data: "bytes | int") -> Event:

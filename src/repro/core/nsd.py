@@ -357,8 +357,6 @@ class NsdService:
             # health reports must show the control-plane outage distinctly
             # from the (simultaneous) data-path reroute.
             self.manager_downs += 1
-            if OBS.enabled:
-                OBS.inc("tokens.manager_down", node=node)
             if TRACE.enabled:
                 TRACE.instant(
                     self.sim, "tokens.manager_down", cat="fault.control",
@@ -487,13 +485,13 @@ class NsdService:
             result = yield from gen
         except Exception:
             if OBS.enabled:
-                OBS.inc("nsd.rpc.errors", op=op)
+                OBS.inc(self.sim, "nsd.rpc.errors", op=op)
             raise
         finally:
             self.inflight -= 1
         if OBS.enabled:
-            OBS.observe("nsd.rpc.latency", self.sim.now - t0, op=op)
-            OBS.inc("nsd.rpc.total", op=op)
+            OBS.observe(self.sim, "nsd.rpc.latency", self.sim.now - t0, op=op)
+            OBS.inc(self.sim, "nsd.rpc.total", op=op)
         return result
 
     # -- block ops -----------------------------------------------------------
@@ -662,7 +660,9 @@ class NsdService:
         if rpc:
             tr.end(self.sim, rpc)
         if OBS.enabled:
-            OBS.inc("nsd.server.bytes", total, server=server.node, dir="in")
+            OBS.inc(
+                self.sim, "nsd.server.bytes", total, server=server.node, dir="in"
+            )
         return total
 
     def _read(self, client_node, nsd_id, extents, tags, verify, one):
@@ -730,7 +730,9 @@ class NsdService:
             tr.end(self.sim, rpc)
         self.blocks_read += blocks
         if OBS.enabled:
-            OBS.inc("nsd.server.bytes", total, server=server.node, dir="out")
+            OBS.inc(
+                self.sim, "nsd.server.bytes", total, server=server.node, dir="out"
+            )
         # 4. end-to-end verification at the client, per block, over the
         #    bytes that actually crossed the network (zero sim-time: CPU
         #    cost of a CRC is negligible next to a WAN block transfer).

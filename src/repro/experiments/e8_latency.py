@@ -52,7 +52,7 @@ def measure(
     if OBS.enabled:
         # One scrape per cell: each sweep cell is its own simulation, so
         # the cell's aggregate rate lands as a gauge sample at cell end.
-        OBS.set_gauge("e8.cell.rate", nbytes / sim.now, sim.now, cell=cell)
+        OBS.set_gauge(sim, "e8.cell.rate", nbytes / sim.now, cell=cell)
         OBS.scrape(sim)
     return nbytes / sim.now
 

@@ -133,8 +133,8 @@ def main(argv=None) -> int:
         print(f"[{exp_id}] {exp.label} ...", file=sys.stderr, flush=True)
         if args.trace_dir:
             TRACE.enable()
+        OBS.reset()  # every run numbers its universes from 1
         if telemetry:
-            OBS.reset()
             OBS.enable()
         try:
             result = exp.run(args.quick)

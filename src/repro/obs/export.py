@@ -16,7 +16,7 @@ This is the repo's **one serialization path** for metrics-shaped data:
   reading, under the export's family names: what ``report --profile``
   prints and ``--profile-json`` writes;
 * ``validate_*`` — structural checks mirrored by the checked-in schema
-  document ``docs/schemas/metrics_v1.json`` (a test asserts the two
+  document ``docs/schemas/metrics_v2.json`` (a test asserts the two
   stay in sync); CI runs them against the quick-report artifacts.
 
 Everything serialized here is derived from sim-clock state only, so
@@ -34,8 +34,9 @@ from repro.obs.metrics import Histogram, parse_key
 from repro.obs.registry import SCHEMA, MetricsRegistry
 
 #: Structural schema for one JSONL scrape row, mirrored verbatim in
-#: ``docs/schemas/metrics_v1.json`` (tests assert equality). Keys map to
-#: required top-level fields and their JSON types.
+#: ``docs/schemas/metrics_v2.json`` (tests assert equality). Keys map to
+#: required top-level fields and their JSON types; every counter, gauge
+#: and histogram key carries the ``key_labels``.
 SNAPSHOT_ROW_SCHEMA = {
     "schema": SCHEMA,
     "required": {
@@ -47,6 +48,7 @@ SNAPSHOT_ROW_SCHEMA = {
         "gauges": "object",
         "histograms": "object",
     },
+    "key_labels": ["sim"],
     "histogram": {
         "required": {
             "count": "integer",
@@ -59,7 +61,7 @@ SNAPSHOT_ROW_SCHEMA = {
 
 
 class SchemaError(ValueError):
-    """An exported artifact does not match the repro.metrics/v1 schema."""
+    """An exported artifact does not match the repro.metrics/v2 schema."""
 
 
 # -- prometheus text ---------------------------------------------------------
@@ -222,6 +224,12 @@ def validate_snapshot_row(row: dict) -> None:
             )
     if row["schema"] != SCHEMA:
         raise SchemaError(f"unknown schema {row['schema']!r}")
+    for table in ("counters", "gauges", "histograms"):
+        for key in row[table]:
+            labels = parse_key(key)[1]
+            for label in SNAPSHOT_ROW_SCHEMA["key_labels"]:
+                if label not in labels:
+                    raise SchemaError(f"{table} key {key!r} has no {label!r} label")
     for key, hist in row["histograms"].items():
         for field, typ in SNAPSHOT_ROW_SCHEMA["histogram"]["required"].items():
             if field not in hist:

@@ -9,7 +9,8 @@ Reads the artifacts :func:`repro.obs.export.export_metrics_dir` wrote
   experiment declared phases (E13's nominal/degraded/failed-over/
   recovered windows);
 * fleet rollups: per-NSD-server bytes moved, per-client read latency
-  percentiles, per-link peak utilization.
+  percentiles, per-link peak utilization — each per universe (``sim``),
+  so a sweep's points are never blended.
 
 Output is deterministic text (and optionally a dependency-free static
 HTML page via ``--html``): every figure is recomputed from the JSONL
@@ -83,10 +84,6 @@ def discover(metrics_dir: str) -> List[str]:
 # -- rollups -----------------------------------------------------------------
 
 
-def _last_row(rows: List[dict]) -> Optional[dict]:
-    return rows[-1] if rows else None
-
-
 def _fmt_ms(v: Optional[float]) -> str:
     return "-" if v is None else f"{v * 1e3:.2f} ms"
 
@@ -99,210 +96,167 @@ def _fmt_burn(v: Optional[float]) -> str:
     return "-" if v is None else f"{v:.2f}x"
 
 
+def _final_rollup(
+    rows: List[dict], fields: Dict[str, str], by: str = "sim"
+) -> List[dict]:
+    """The final scrape grouped per universe and ``by`` label.
+
+    ``fields`` maps each family read to the field it fills; a field may
+    name a label in braces (``"bytes_{dir}"``). Counters and gauges sum
+    into their field, histograms merge. One dict per group, ``{"sim":
+    ..., by: ..., field: value, ...}``, in universe order: a sweep that
+    reuses client, server and gateway names gets a row per point.
+    """
+    if not rows:
+        return []
+    last = rows[-1]
+    groups: Dict[tuple, dict] = {}
+    for table in ("counters", "gauges", "histograms"):
+        for key in sorted(last.get(table, {})):
+            family, labels = parse_key(key)
+            field = fields.get(family)
+            if field is None:
+                continue
+            sim, name = labels["sim"], labels.get(by, "-")
+            group = groups.setdefault((int(sim), name), {"sim": sim, by: name})
+            field = field.format_map(labels)
+            value = last[table][key]
+            if table != "histograms":
+                group[field] = group.get(field, 0.0) + value
+            elif field in group:
+                group[field].merge(Histogram.from_dict(value))
+            else:
+                group[field] = Histogram.from_dict(value)
+    return [groups[k] for k in sorted(groups)]
+
+
 def client_rollup(rows: List[dict]) -> List[dict]:
     """Per-client read latency percentiles from the final scrape."""
-    last = _last_row(rows)
-    if last is None:
-        return []
     out = []
-    for key in sorted(last.get("histograms", {})):
-        family, labels = parse_key(key)
-        if family != CLIENT_LATENCY:
-            continue
-        h = Histogram.from_dict(last["histograms"][key])
-        if h.count == 0:
-            continue
-        out.append({
-            "client": labels.get("client", "-"),
-            "reads": h.count,
-            "p50": h.quantile(0.50),
-            "p99": h.quantile(0.99),
-            "max": h.max,
-        })
+    for g in _final_rollup(rows, {CLIENT_LATENCY: "latency"}, by="client"):
+        h = g["latency"]
+        if h.count:
+            out.append({
+                "sim": g["sim"],
+                "client": g["client"],
+                "reads": h.count,
+                "p50": h.quantile(0.50),
+                "p99": h.quantile(0.99),
+                "max": h.max,
+            })
     return out
 
 
 def server_rollup(rows: List[dict]) -> List[dict]:
     """Per-NSD-server bytes in/out from the final scrape."""
-    last = _last_row(rows)
-    if last is None:
-        return []
-    per: Dict[str, Dict[str, float]] = {}
-    for key, v in last.get("counters", {}).items():
-        family, labels = parse_key(key)
-        if family != SERVER_BYTES:
-            continue
-        server = labels.get("server", "-")
-        per.setdefault(server, {"in": 0.0, "out": 0.0})
-        per[server][labels.get("dir", "out")] = v
     return [
-        {"server": s, "bytes_in": d["in"], "bytes_out": d["out"]}
-        for s, d in sorted(per.items())
+        {"bytes_in": 0.0, "bytes_out": 0.0, **g}
+        for g in _final_rollup(rows, {SERVER_BYTES: "bytes_{dir}"}, by="server")
     ]
 
 
 def cache_rollup(rows: List[dict]) -> List[dict]:
     """Per-gateway cache effectiveness from the final scrape."""
-    last = _last_row(rows)
-    if last is None:
-        return []
-    counters = last.get("counters", {})
-    gauges = last.get("gauges", {})
-    per: Dict[str, Dict[str, float]] = {}
-
-    def bucket(labels: Dict[str, str]) -> Dict[str, float]:
-        gw = labels.get("gw", "-")
-        return per.setdefault(gw, {
-            "hits": 0.0, "misses": 0.0, "hit_ratio": 0.0,
-            "offload": 0.0, "dirty": 0.0,
-        })
-
-    for key, v in counters.items():
-        family, labels = parse_key(key)
-        if family == CACHE_HITS:
-            bucket(labels)["hits"] = v
-        elif family == CACHE_MISSES:
-            bucket(labels)["misses"] = v
-    for key, v in gauges.items():
-        family, labels = parse_key(key)
-        if family == CACHE_HIT_RATIO:
-            bucket(labels)["hit_ratio"] = v
-        elif family == GATEWAY_OFFLOAD:
-            bucket(labels)["offload"] = v
-        elif family == GATEWAY_DIRTY:
-            bucket(labels)["dirty"] = v
+    fields = {
+        CACHE_HITS: "hits", CACHE_MISSES: "misses",
+        CACHE_HIT_RATIO: "hit_ratio", GATEWAY_OFFLOAD: "offload",
+        GATEWAY_DIRTY: "dirty",
+    }
     return [
-        {"gw": gw, **d} for gw, d in sorted(per.items())
+        {"hits": 0.0, "misses": 0.0, "hit_ratio": 0.0, "offload": 0.0,
+         "dirty": 0.0, **g}
+        for g in _final_rollup(rows, fields, by="gw")
     ]
 
 
 def pagepool_rollup(rows: List[dict]) -> List[dict]:
     """Per-client page-pool behaviour from the final scrape."""
-    last = _last_row(rows)
-    if last is None:
-        return []
-    per: Dict[str, Dict[str, float]] = {}
-    for key, v in last.get("counters", {}).items():
-        family, labels = parse_key(key)
-        if family not in (POOL_HITS, POOL_MISSES, POOL_EVICTIONS):
-            continue
-        client = labels.get("client", "-")
-        d = per.setdefault(
-            client, {"hits": 0.0, "misses": 0.0, "evictions": 0.0}
-        )
-        attr = family.rsplit(".", 1)[1]
-        d[attr] += v
+    fields = {POOL_HITS: "hits", POOL_MISSES: "misses", POOL_EVICTIONS: "evictions"}
     out = []
-    for client, d in sorted(per.items()):
+    for g in _final_rollup(rows, fields, by="client"):
+        d = {"hits": 0.0, "misses": 0.0, "evictions": 0.0, **g}
         total = d["hits"] + d["misses"]
-        out.append({
-            "client": client,
-            **d,
-            "hit_ratio": d["hits"] / total if total else 0.0,
-        })
+        d["hit_ratio"] = d["hits"] / total if total else 0.0
+        out.append(d)
     return out
 
 
 def control_plane_rollup(rows: List[dict]) -> List[dict]:
     """Fault/failover posture from the final scrape.
 
-    One row per signal: control-plane outages (``tokens.manager_down``),
-    manager takeover latency and MTTR, and data-plane detection latency
-    and node MTTR — present only for runs that armed the fault subsystem,
-    so nominal experiments render no section at all. The latency rows are
-    per universe (``sim``): E16's riding fuzz cells get rows of their own.
+    One row per signal and universe: control-plane outages
+    (``tokens.manager_down``), manager takeover latency and MTTR, and
+    data-plane detection latency and node MTTR — present only for runs
+    that armed the fault subsystem, so nominal experiments render no
+    section at all. E16's riding fuzz cells get rows of their own.
     """
-    last = _last_row(rows)
-    if last is None:
-        return []
-    out: List[dict] = []
-    downs = sum(
-        v
-        for key, v in last.get("counters", {}).items()
-        if parse_key(key)[0] == MANAGER_DOWN
-    )
-    if downs:
-        out.append({"signal": "manager outages", "sim": "-",
-                    "count": int(downs), "mean": None, "max": None})
-    for family, label in (
+    histograms = (
         (TAKEOVER_LATENCY, "manager takeover latency"),
         (TAKEOVER_MTTR, "manager takeover MTTR"),
         (DETECTION_LATENCY, "crash detection latency"),
         (FAULT_MTTR, "node MTTR"),
-    ):
-        for key in sorted(last.get("histograms", {})):
-            key_family, labels = parse_key(key)
-            if key_family != family:
-                continue
-            h = Histogram.from_dict(last["histograms"][key])
-            if h.count == 0:
-                continue
-            out.append({
-                "signal": label,
-                "sim": labels.get("sim", "-"),
-                "count": h.count,
-                "mean": h.sum / h.count,
-                "max": h.max,
-            })
+    )
+    groups = _final_rollup(
+        rows, {MANAGER_DOWN: "downs", **{f: f for f, _ in histograms}}
+    )
+    out: List[dict] = [
+        {"signal": "manager outages", "sim": g["sim"],
+         "count": int(g["downs"]), "mean": None, "max": None}
+        for g in groups if g.get("downs")
+    ]
+    for family, label in histograms:
+        for g in groups:
+            h = g.get(family)
+            if h is not None and h.count:
+                out.append({
+                    "signal": label,
+                    "sim": g["sim"],
+                    "count": h.count,
+                    "mean": h.sum / h.count,
+                    "max": h.max,
+                })
     return out
 
 
 def solver_rollup(rows: List[dict]) -> List[dict]:
     """Rate-solver posture per engine from the final scrape.
 
-    One row per simulation universe (``sim`` label): active flows, live
-    route classes, solver columns, the aggregation ratio (member flows
-    per solver column — the dimension reduction route-class aggregation
-    bought), and cumulative recompute work.
+    One row per simulation universe: active flows, live route classes,
+    solver columns, the aggregation ratio (member flows per solver
+    column — the dimension reduction route-class aggregation bought),
+    and cumulative recompute work.
     """
-    last = _last_row(rows)
-    if last is None:
-        return []
-    per: Dict[str, Dict[str, float]] = {}
-
-    def bucket(labels: Dict[str, str]) -> Dict[str, float]:
-        sim = labels.get("sim", "-")
-        return per.setdefault(sim, {
-            "active": 0.0, "classes": 0.0, "cols": 0.0,
-            "ratio": 1.0, "recomputes": 0.0, "solved_rows": 0.0,
-        })
-
-    for key, v in last.get("gauges", {}).items():
-        family, labels = parse_key(key)
-        if family == FLOW_ACTIVE:
-            bucket(labels)["active"] = v
-        elif family == CLASSES:
-            bucket(labels)["classes"] = v
-        elif family == CLASS_COLS:
-            bucket(labels)["cols"] = v
-        elif family == AGG_RATIO:
-            bucket(labels)["ratio"] = v
-    for key, v in last.get("counters", {}).items():
-        family, labels = parse_key(key)
-        if family == FLOW_RECOMPUTES:
-            bucket(labels)["recomputes"] = v
-        elif family == SOLVED_ROWS:
-            bucket(labels)["solved_rows"] = v
-    return [{"sim": sim, **d} for sim, d in sorted(per.items())]
+    fields = {
+        FLOW_ACTIVE: "active", CLASSES: "classes", CLASS_COLS: "cols",
+        AGG_RATIO: "ratio", FLOW_RECOMPUTES: "recomputes",
+        SOLVED_ROWS: "solved_rows",
+    }
+    return [
+        {"active": 0.0, "classes": 0.0, "cols": 0.0, "ratio": 1.0,
+         "recomputes": 0.0, "solved_rows": 0.0, **g}
+        for g in _final_rollup(rows, fields)
+    ]
 
 
 def link_rollup(rows: List[dict]) -> List[dict]:
-    """Per-link mean + peak utilization over the whole time series."""
-    stats: Dict[str, List[float]] = {}
+    """Per-link mean + peak utilization over the whole time series, per
+    universe."""
+    stats: Dict[tuple, List[float]] = {}
     for row in rows:
         for key, v in row.get("gauges", {}).items():
             family, labels = parse_key(key)
-            if family != LINK_UTIL:
-                continue
-            stats.setdefault(labels.get("link", "-"), []).append(v)
+            if family == LINK_UTIL:
+                link = (int(labels["sim"]), labels["link"])
+                stats.setdefault(link, []).append(v)
     return [
         {
+            "sim": str(sim),
             "link": link,
             "mean": sum(vals) / len(vals),
             "peak": max(vals),
             "samples": len(vals),
         }
-        for link, vals in sorted(stats.items())
+        for (sim, link), vals in sorted(stats.items())
     ]
 
 
@@ -388,9 +342,9 @@ def render_experiment(exp: dict) -> List[str]:
         lines.append("")
         lines.append("  Clients:")
         lines += _table(
-            ["client", "reads", "p50", "p99", "max"],
+            ["sim", "client", "reads", "p50", "p99", "max"],
             [
-                [c["client"], str(c["reads"]), _fmt_ms(c["p50"]),
+                [c["sim"], c["client"], str(c["reads"]), _fmt_ms(c["p50"]),
                  _fmt_ms(c["p99"]), _fmt_ms(c["max"])]
                 for c in clients
             ],
@@ -401,9 +355,9 @@ def render_experiment(exp: dict) -> List[str]:
         lines.append("")
         lines.append("  NSD servers:")
         lines += _table(
-            ["server", "bytes in", "bytes out"],
+            ["sim", "server", "bytes in", "bytes out"],
             [
-                [s["server"], _gb(s["bytes_in"]), _gb(s["bytes_out"])]
+                [s["sim"], s["server"], _gb(s["bytes_in"]), _gb(s["bytes_out"])]
                 for s in servers
             ],
         )
@@ -413,10 +367,10 @@ def render_experiment(exp: dict) -> List[str]:
         lines.append("")
         lines.append("  Caching gateways:")
         lines += _table(
-            ["gateway", "hits", "misses", "hit ratio", "origin offload",
-             "dirty queue"],
+            ["sim", "gateway", "hits", "misses", "hit ratio",
+             "origin offload", "dirty queue"],
             [
-                [g["gw"], f"{g['hits']:.0f}", f"{g['misses']:.0f}",
+                [g["sim"], g["gw"], f"{g['hits']:.0f}", f"{g['misses']:.0f}",
                  _fmt_pct(g["hit_ratio"]), _fmt_pct(g["offload"]),
                  f"{g['dirty']:.0f}"]
                 for g in gateways
@@ -428,9 +382,9 @@ def render_experiment(exp: dict) -> List[str]:
         lines.append("")
         lines.append("  Client page pools:")
         lines += _table(
-            ["client", "hits", "misses", "evictions", "hit ratio"],
+            ["sim", "client", "hits", "misses", "evictions", "hit ratio"],
             [
-                [p["client"], f"{p['hits']:.0f}", f"{p['misses']:.0f}",
+                [p["sim"], p["client"], f"{p['hits']:.0f}", f"{p['misses']:.0f}",
                  f"{p['evictions']:.0f}", _fmt_pct(p["hit_ratio"])]
                 for p in pools
             ],
@@ -470,9 +424,9 @@ def render_experiment(exp: dict) -> List[str]:
         lines.append("")
         lines.append("  Links:")
         lines += _table(
-            ["link", "mean util", "peak util", "samples"],
+            ["sim", "link", "mean util", "peak util", "samples"],
             [
-                [k["link"], _fmt_pct(k["mean"]), _fmt_pct(k["peak"]),
+                [k["sim"], k["link"], _fmt_pct(k["mean"]), _fmt_pct(k["peak"]),
                  str(k["samples"])]
                 for k in links
             ],

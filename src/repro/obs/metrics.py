@@ -1,11 +1,9 @@
 """Typed metric primitives: :class:`Counter`, :class:`Gauge`, :class:`Histogram`.
 
 These are the values a :class:`~repro.obs.registry.MetricsRegistry` holds.
-They are deliberately clock-free — callers stamp simulation time where a
-timestamp matters (gauge samples), and the registry's scrape pipeline
-(:mod:`repro.obs.collect`) turns current values into a time series. That
-split keeps the primitives usable from any layer (kernel, NSD service,
-experiments) without threading a simulation through every call site.
+They are deliberately clock-free: each holds its current value, and the
+registry's scrape pipeline (:mod:`repro.obs.collect`) turns current
+values into a time series stamped with simulation time.
 
 Histograms are **log-bucketed**: bucket ``i`` covers values in
 ``(bounds[i-1], bounds[i]]`` (Prometheus ``le`` semantics) with one
@@ -21,7 +19,7 @@ runs with the same seed produce identical snapshots.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 
 class MetricError(ValueError):
@@ -98,52 +96,33 @@ class Counter:
 
 
 class Gauge:
-    """A sampled scalar that keeps its *history*, not just the last value.
+    """An instantaneous scalar: holds the last value set; scrapes make
+    the series."""
 
-    Every :meth:`set` records a ``(t, value)`` sample (bounded; old samples
-    are never silently reordered), so rate/series-style queries work for
-    gauges the same way they do for rate meters.
-    """
+    __slots__ = ("name", "_last")
 
-    __slots__ = ("name", "samples", "max_samples", "dropped")
-
-    def __init__(self, name: str = "", max_samples: int = 100_000) -> None:
+    def __init__(self, name: str = "") -> None:
         self.name = name
-        self.samples: List[Tuple[float, float]] = []
-        self.max_samples = max_samples
-        self.dropped = 0
+        self._last: Optional[float] = None
 
-    def set(self, value: float, t: float) -> None:
-        if len(self.samples) >= self.max_samples:
-            self.dropped += 1
-            self.samples[-1] = (float(t), float(value))
-            return
-        self.samples.append((float(t), float(value)))
+    def set(self, value: float) -> None:
+        self._last = float(value)
 
     @property
     def empty(self) -> bool:
-        return not self.samples
+        return self._last is None
 
     def last(self) -> float:
-        if not self.samples:
+        if self._last is None:
             raise MetricError(f"gauge {self.name!r} never set")
-        return self.samples[-1][1]
+        return self._last
 
     @property
     def value(self) -> float:
         return self.last()
 
-    def series(self):
-        """The sample history as a :class:`~repro.util.timeseries.TimeSeries`."""
-        from repro.util.timeseries import TimeSeries
-
-        out = TimeSeries(name=self.name)
-        for t, v in self.samples:
-            out.add(t, v)
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Gauge {self.name!r} {len(self.samples)} samples>"
+        return f"<Gauge {self.name!r} {self._last}>"
 
 
 class Histogram:

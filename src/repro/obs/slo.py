@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.metrics import Histogram, counter_delta
+from repro.obs.metrics import Histogram, counter_delta, merge_histograms
 
 
 @dataclass(frozen=True)
@@ -65,26 +65,24 @@ class AvailabilityObjective:
     window: float = 5.0
 
 
+def _children(table: dict, family: str) -> list:
+    """A family's values over its labeled children in a scrape row."""
+    prefix = family + "{"
+    return [table[k] for k in sorted(table) if k == family or k.startswith(prefix)]
+
+
 def _family_sum(table: Dict[str, float], family: str) -> float:
     """Sum a counter family across its labeled children in a scrape row."""
-    prefix = family + "{"
-    return sum(
-        v for k, v in table.items() if k == family or k.startswith(prefix)
+    return sum(_children(table, family))
+
+
+def _family_hist(row: Optional[dict], family: str) -> Histogram:
+    """A histogram family's labeled children in a scrape row, merged
+    (empty when there is no row)."""
+    table = row.get("histograms", {}) if row is not None else {}
+    return merge_histograms(
+        Histogram.from_dict(d, name=family) for d in _children(table, family)
     )
-
-
-def _family_hist(table: Dict[str, dict], family: str) -> Optional[Histogram]:
-    """Merge a histogram family's labeled children from a scrape row."""
-    prefix = family + "{"
-    merged: Optional[Histogram] = None
-    for k in sorted(table):
-        if k == family or k.startswith(prefix):
-            h = Histogram.from_dict(table[k], name=family)
-            if merged is None:
-                merged = h
-            else:
-                merged.merge(h)
-    return merged
 
 
 def _burn(compliance: float, target: float) -> Optional[float]:
@@ -126,8 +124,8 @@ class SloTracker:
     @staticmethod
     def _latency_counts(obj: LatencyObjective, row: dict) -> Tuple[float, float]:
         """(good, total) cumulative at ``row`` for a latency objective."""
-        h = _family_hist(row.get("histograms", {}), obj.metric)
-        if h is None or h.count == 0:
+        h = _family_hist(row, obj.metric)
+        if h.count == 0:
             return 0.0, 0.0
         return float(h.count_le(obj.le)), float(h.count)
 
@@ -243,21 +241,15 @@ def phase_stats(
             "errors": 0.0,
         }
         if r1 is not None:
-            h0 = (
-                _family_hist(r0.get("histograms", {}), latency_metric)
-                if r0 is not None else None
+            dh = Histogram.delta(
+                _family_hist(r0, latency_metric).to_dict(),
+                _family_hist(r1, latency_metric).to_dict(),
+                name=latency_metric,
             )
-            h1 = _family_hist(r1.get("histograms", {}), latency_metric)
-            if h1 is not None:
-                dh = Histogram.delta(
-                    h0.to_dict() if h0 is not None else None,
-                    h1.to_dict(),
-                    name=latency_metric,
-                )
-                if dh.count > 0:
-                    entry["reads"] = dh.count
-                    entry["p50"] = dh.quantile(0.50)
-                    entry["p99"] = dh.quantile(0.99)
+            if dh.count > 0:
+                entry["reads"] = dh.count
+                entry["p50"] = dh.quantile(0.50)
+                entry["p99"] = dh.quantile(0.99)
             c0 = r0.get("counters", {}) if r0 is not None else {}
             c1 = r1.get("counters", {})
             ok = counter_delta(

@@ -12,29 +12,37 @@ starts the universe's scrape collector.
 Naming conventions (the families ``repro health`` rolls up live in
 :mod:`repro.obs.health`):
 
-* ``kernel.*{sim=<pid>}`` — scheduled events (``Simulation._seq``) and
-  heap depth;
-* ``flow.*`` / ``fairshare.*`` — recomputes, active rows, completed
-  flows, solves;
+* ``kernel.*`` — scheduled events (``Simulation._seq``) and heap depth;
+* ``flow.*`` / ``fairshare.*`` / ``flowengine.*`` — recomputes, active
+  rows, completed flows, solves, route classes;
 * ``net.link.utilization{link=...}`` — per-link used fraction;
 * ``nsd.*{fs=...}`` — service counters; RPC latency histograms are
   recorded inline by the service (``nsd.rpc.latency{op=...}``);
-* ``scrub.*{fs=...}`` / ``tokens.*{fs=...}`` / ``hsm.*{fs=...}``;
+* ``tokens.*{fs=...}`` — grants and revokes, and ``tokens.manager_down``,
+  the service's count of manager-node losses;
+* ``scrub.*{fs=...}`` / ``hsm.*{fs=...}``;
 * ``client.pagepool.*{client=...}`` / ``cache.*{gw=...}`` /
   ``gateway.*{gw=...}``;
-* ``faults.*{sim=<pid>}`` — detections, recoveries (latency histograms
-  inline).
+* ``faults.*`` — detections, recoveries (latency histograms inline).
 
-Every per-object family also carries the ``sim=<pid>`` label of the
-universe it lives in, so two universes in one process (a sweep that
-builds one scenario per point) may reuse filesystem, client and gateway
-names without colliding in the registry.
+The registry stamps every key with the ``sim`` label of the universe it
+lives in (:attr:`repro.sim.kernel.Simulation.id`), so nothing here names
+one.
 """
 
 from __future__ import annotations
 
-from repro.obs.metrics import canonical_key
-from repro.obs.registry import OBS, _pid
+from functools import partial
+
+from repro.obs.registry import OBS
+
+
+def _attrs(sim, obj, kind: str, pairs, **labels: str) -> None:
+    """One ``kind`` callback per ``(family, attribute)`` pair over ``obj``."""
+    for family, attr in pairs:
+        OBS.register_callback(
+            sim, family, partial(getattr, obj, attr), kind=kind, **labels
+        )
 
 
 def attach_engine(engine) -> None:
@@ -44,66 +52,47 @@ def attach_engine(engine) -> None:
     so the kernel, flow and fair-share families cover every universe.
     """
     sim = engine.sim
-    pid = str(_pid(sim))
+    state = engine._state
 
-    def kernel_multi() -> dict:
-        return {
-            "counters": {
-                canonical_key("kernel.events", {"sim": pid}):
-                    float(sim._seq),
-            },
-            "gauges": {
-                canonical_key("kernel.queue_depth", {"sim": pid}):
-                    float(len(sim._heap) + len(sim._fifo)),
-            },
-        }
-
-    def engine_multi() -> dict:
-        state = engine._state
-        sim_l = {"sim": pid}
-        counters = {
-            canonical_key("flow.bytes_moved", sim_l): engine.bytes_moved,
-            canonical_key("flow.completed", sim_l):
-                float(engine.completed_flows),
-            canonical_key("flow.recomputes", sim_l):
-                float(engine.recomputes),
-            canonical_key("flow.active_rows", sim_l):
-                float(engine.active_rows),
-            canonical_key("flow.rate_changes", sim_l):
-                float(engine.rate_changes),
-            canonical_key("fairshare.solves", sim_l): float(state.solves),
-            canonical_key("fairshare.solved_rows", sim_l):
-                float(state.solved_rows),
-            canonical_key("fairshare.single_flow_solves", sim_l):
-                float(state.single_flow_solves),
-            canonical_key("flowengine.class_joins", sim_l):
-                float(engine.class_joins),
-            canonical_key("fairshare.weight_changes", sim_l):
-                float(state.weight_changes),
-        }
+    def aggregation_ratio() -> float:
         ncols, nmembers = state.class_stats()
-        gauges = {
-            canonical_key("flow.active", sim_l): float(engine.active_count),
-            canonical_key("flowengine.classes", sim_l):
-                float(engine.class_count()),
-            canonical_key("fairshare.class_cols", sim_l): float(ncols),
-            canonical_key("flowengine.aggregation_ratio", sim_l):
-                (nmembers / ncols) if ncols else 1.0,
-        }
-        for link, frac in engine.link_utilization().items():
-            gauges[
-                canonical_key("net.link.utilization", {"link": link, "sim": pid})
-            ] = frac
-        return {"counters": counters, "gauges": gauges}
+        return (nmembers / ncols) if ncols else 1.0
 
-    OBS.register_multi(kernel_multi)
-    OBS.register_multi(engine_multi)
+    OBS.register_callback(sim, "kernel.events", lambda: sim._seq, kind="counter")
+    _attrs(sim, engine, "counter", (
+        ("flow.bytes_moved", "bytes_moved"),
+        ("flow.completed", "completed_flows"),
+        ("flow.recomputes", "recomputes"),
+        ("flow.active_rows", "active_rows"),
+        ("flow.rate_changes", "rate_changes"),
+        ("flowengine.class_joins", "class_joins"),
+    ))
+    _attrs(sim, state, "counter", (
+        ("fairshare.solves", "solves"),
+        ("fairshare.solved_rows", "solved_rows"),
+        ("fairshare.single_flow_solves", "single_flow_solves"),
+        ("fairshare.weight_changes", "weight_changes"),
+    ))
+    OBS.register_callback(
+        sim, "kernel.queue_depth", lambda: len(sim._heap) + len(sim._fifo)
+    )
+    _attrs(sim, engine, "gauge", (
+        ("flow.active", "active_count"),
+        ("flowengine.classes", "live_classes"),
+    ))
+    OBS.register_callback(
+        sim, "fairshare.class_cols", lambda: state.class_stats()[0]
+    )
+    OBS.register_callback(sim, "flowengine.aggregation_ratio", aggregation_ratio)
+    OBS.register_multi(
+        sim, "net.link.utilization", engine.link_utilization, "link"
+    )
 
 
 def attach_service(service, fs: str = "") -> None:
     """Wire an :class:`~repro.core.nsd.NsdService`'s counters."""
-    labels = {"sim": str(_pid(service.sim)), **({"fs": fs} if fs else {})}
-    for family, attr in (
+    labels = {"fs": fs} if fs else {}
+    _attrs(service.sim, service, "counter", (
         ("nsd.blocks_read", "blocks_read"),
         ("nsd.blocks_written", "blocks_written"),
         ("nsd.failovers", "failovers"),
@@ -112,77 +101,44 @@ def attach_service(service, fs: str = "") -> None:
         ("nsd.checksum_failures", "checksum_failures"),
         ("nsd.checksum_verifications", "checksum_verifications"),
         ("nsd.partition_parked", "partition_parked"),
-    ):
-        OBS.register_callback(
-            family,
-            (lambda s=service, a=attr: float(getattr(s, a))),
-            kind="counter",
-            **labels,
-        )
+        ("tokens.manager_down", "manager_downs"),
+    ), **labels)
     OBS.register_callback(
-        "nsd.down_nodes",
-        lambda s=service: float(len(s.down_nodes)),
-        kind="gauge",
-        **labels,
+        service.sim, "nsd.down_nodes", lambda: len(service.down_nodes), **labels
     )
     OBS.register_callback(
-        "nsd.inflight_rpcs",
-        lambda s=service: float(s.inflight),
-        kind="gauge",
-        **labels,
+        service.sim, "nsd.inflight_rpcs", lambda: service.inflight, **labels
     )
 
 
 def attach_filesystem(fs) -> None:
     """Wire a filesystem's token manager (labels by device name)."""
-    tm = fs.token_manager
-    labels = {"sim": str(_pid(fs.sim)), "fs": fs.name}
-    for family, attr in (
+    _attrs(fs.sim, fs.token_manager, "counter", (
         ("tokens.grants", "grants"),
         ("tokens.revokes", "revokes"),
         ("tokens.dead_holder_releases", "dead_holder_releases"),
         ("tokens.quorum_parked_grants", "quorum_parked_grants"),
-    ):
-        OBS.register_callback(
-            family,
-            (lambda t=tm, a=attr: float(getattr(t, a))),
-            kind="counter",
-            **labels,
-        )
+    ), fs=fs.name)
 
 
 def attach_scrubber(scrubber) -> None:
-    labels = {"sim": str(_pid(scrubber.fs.sim)), "fs": scrubber.fs.name}
-    for family, attr in (
+    _attrs(scrubber.fs.sim, scrubber, "counter", (
         ("scrub.sweeps", "sweeps"),
         ("scrub.blocks_scanned", "blocks_scanned"),
         ("scrub.rot_found", "rot_found"),
         ("scrub.repairs", "repairs"),
         ("scrub.repair_failures", "repair_failures"),
         ("scrub.bytes_read", "bytes_read"),
-    ):
-        OBS.register_callback(
-            family,
-            (lambda s=scrubber, a=attr: float(getattr(s, a))),
-            kind="counter",
-            **labels,
-        )
+    ), fs=scrubber.fs.name)
 
 
 def attach_hsm(manager) -> None:
-    labels = {"sim": str(_pid(manager.fs.sim)), "fs": manager.fs.name}
-    for family, attr in (
+    _attrs(manager.fs.sim, manager, "counter", (
         ("hsm.migrated_files", "migrated_files"),
         ("hsm.recalled_files", "recalled_files"),
         ("hsm.migrated_bytes", "migrated_bytes"),
         ("hsm.recalled_bytes", "recalled_bytes"),
-    ):
-        OBS.register_callback(
-            family,
-            (lambda m=manager, a=attr: float(getattr(m, a))),
-            kind="counter",
-            **labels,
-        )
+    ), fs=manager.fs.name)
 
 
 def attach_pagepool(mount) -> None:
@@ -193,34 +149,20 @@ def attach_pagepool(mount) -> None:
     collides on the registry's duplicate-key check.
     """
     labels = {
-        "sim": str(_pid(mount.sim)),
         "client": mount.node,
         "fs": mount.fs.name,
         "m": str(len(mount.fs.mounts)),
     }
-    pool = mount.pool
-    for family, attr in (
+    _attrs(mount.sim, mount.pool, "counter", (
         ("client.pagepool.hits", "hits"),
         ("client.pagepool.misses", "misses"),
         ("client.pagepool.evictions", "evictions"),
-    ):
-        OBS.register_callback(
-            family,
-            (lambda p=pool, a=attr: float(getattr(p, a))),
-            kind="counter",
-            **labels,
-        )
-    for family, attr in (
+    ), **labels)
+    _attrs(mount.sim, mount.pool, "gauge", (
         ("client.pagepool.used", "used"),
         ("client.pagepool.capacity", "capacity"),
         ("client.pagepool.hit_ratio", "hit_ratio"),
-    ):
-        OBS.register_callback(
-            family,
-            (lambda p=pool, a=attr: float(getattr(p, a))),
-            kind="gauge",
-            **labels,
-        )
+    ), **labels)
 
 
 def attach_gateway(gateway) -> None:
@@ -230,24 +172,15 @@ def attach_gateway(gateway) -> None:
     read/write paths; the callbacks here expose the running totals and
     derived gauges (hit ratio, origin offload).
     """
-    labels = {
-        "sim": str(_pid(gateway.sim)), "gw": gateway.name, "fs": gateway.fs.name
-    }
-    cache = gateway.cache
-    for family, attr in (
+    labels = {"gw": gateway.name, "fs": gateway.fs.name}
+    _attrs(gateway.sim, gateway.cache, "counter", (
         ("cache.hits", "hits"),
         ("cache.misses", "misses"),
         ("cache.evictions", "evictions"),
         ("cache.inserts", "inserts"),
         ("cache.invalidations", "invalidations"),
-    ):
-        OBS.register_callback(
-            family,
-            (lambda c=cache, a=attr: float(getattr(c, a))),
-            kind="counter",
-            **labels,
-        )
-    for family, attr in (
+    ), **labels)
+    _attrs(gateway.sim, gateway, "counter", (
         ("gateway.served_bytes", "served_bytes"),
         ("gateway.origin_bytes", "origin_bytes"),
         ("gateway.write_acks", "write_acks"),
@@ -256,43 +189,16 @@ def attach_gateway(gateway) -> None:
         ("gateway.lease_renewals", "lease_renewals"),
         ("gateway.lease_breaks", "lease_breaks"),
         ("gateway.conflicts", "conflicts"),
-    ):
-        OBS.register_callback(
-            family,
-            (lambda g=gateway, a=attr: float(getattr(g, a))),
-            kind="counter",
-            **labels,
-        )
-    OBS.register_callback(
-        "cache.hit_ratio",
-        lambda c=cache: c.hit_ratio,
-        kind="gauge",
-        **labels,
-    )
-    OBS.register_callback(
-        "cache.used_blocks",
-        lambda c=cache: float(c.used_blocks),
-        kind="gauge",
-        **labels,
-    )
-    OBS.register_callback(
-        "cache.dirty_blocks",
-        lambda c=cache: float(c.dirty_blocks),
-        kind="gauge",
-        **labels,
-    )
-    OBS.register_callback(
-        "gateway.origin_offload",
-        lambda g=gateway: g.origin_offload,
-        kind="gauge",
-        **labels,
-    )
-    OBS.register_callback(
-        "gateway.dirty_queue",
-        lambda g=gateway: float(g.dirty_queue_depth),
-        kind="gauge",
-        **labels,
-    )
+    ), **labels)
+    _attrs(gateway.sim, gateway.cache, "gauge", (
+        ("cache.hit_ratio", "hit_ratio"),
+        ("cache.used_blocks", "used_blocks"),
+        ("cache.dirty_blocks", "dirty_blocks"),
+    ), **labels)
+    _attrs(gateway.sim, gateway, "gauge", (
+        ("gateway.origin_offload", "origin_offload"),
+        ("gateway.dirty_queue", "dirty_queue_depth"),
+    ), **labels)
 
 
 def attach_detector(detector) -> None:
@@ -302,22 +208,13 @@ def attach_detector(detector) -> None:
     detector at declare/recover time; the callbacks here expose the
     running totals.
     """
-    labels = {"sim": str(_pid(detector.sim))}
+    sim = detector.sim
     OBS.register_callback(
-        "faults.detections",
-        lambda d=detector: float(len(d.detections)),
-        kind="counter",
-        **labels,
+        sim, "faults.detections", lambda: len(detector.detections), kind="counter"
     )
     OBS.register_callback(
-        "faults.recoveries",
-        lambda d=detector: float(len(d.recoveries)),
-        kind="counter",
-        **labels,
+        sim, "faults.recoveries", lambda: len(detector.recoveries), kind="counter"
     )
     OBS.register_callback(
-        "faults.detected_down",
-        lambda d=detector: float(len(d.detected_down)),
-        kind="gauge",
-        **labels,
+        sim, "faults.detected_down", lambda: len(detector.detected_down)
     )

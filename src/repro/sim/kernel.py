@@ -410,7 +410,14 @@ class Simulation:
     the FIFO holds a contiguous ascending-seq run at ``now`` and the merged
     pop — take the heap head only when it sorts before the FIFO head — is
     exactly the order a single heap would produce.
+
+    Each simulation is one *universe* and takes the next universe id at
+    construction (:attr:`id`): the ``sim`` label of its telemetry and its
+    Chrome-trace pid. :func:`rewind_universe_ids` numbers from 1 again.
     """
+
+    #: The id the next universe takes.
+    next_id = 1
 
     def __init__(self) -> None:
         self._now = 0.0
@@ -418,6 +425,8 @@ class Simulation:
         self._fifo: deque[tuple[float, int, Any]] = deque()
         self._seq = 0
         self.rng = None  # set lazily by RngRegistry users
+        self.id = Simulation.next_id
+        Simulation.next_id += 1
 
     @property
     def now(self) -> float:
@@ -557,3 +566,13 @@ class Simulation:
         if horizon != float("inf"):
             self._now = horizon
         return None
+
+
+def rewind_universe_ids() -> None:
+    """Number the next :class:`Simulation` 1 again.
+
+    :meth:`repro.obs.registry.MetricsRegistry.reset` calls this between
+    runs, so back-to-back runs in one process label and trace their
+    universes as a fresh process would.
+    """
+    Simulation.next_id = 1

@@ -41,9 +41,10 @@ round trip moved.
 
 Timestamps are simulation seconds; the Chrome exporter scales to the
 microseconds the trace-event format expects. Several simulations may run
-while the recorder is enabled (parameter sweeps build one per cell); each
-:class:`~repro.sim.kernel.Simulation` becomes its own ``pid`` in the
-exported trace.
+while the recorder is enabled (parameter sweeps build one per cell); a
+trace ``pid`` is the universe id :attr:`Simulation.id
+<repro.sim.kernel.Simulation.id>` took at construction, the same number
+the metrics exports carry as their ``sim`` label.
 """
 
 from __future__ import annotations
@@ -112,8 +113,7 @@ class Tracer:
     __slots__ = (
         "enabled", "capacity", "max_flows",
         "_events", "events_recorded",
-        "_open", "_next_sid",
-        "_next_pid", "_span_stats",
+        "_open", "_next_sid", "_span_stats",
         "flows", "_live", "_next_rid", "flows_dropped",
         "instants_recorded",
     )
@@ -154,7 +154,6 @@ class Tracer:
         self.instants_recorded = 0
         self._open: Dict[int, tuple] = {}
         self._next_sid = 1
-        self._next_pid = 1
         #: category -> [span count, total sim-seconds]
         self._span_stats: Dict[str, List[float]] = {}
         #: completed + live flow records, insertion order.
@@ -164,17 +163,6 @@ class Tracer:
         self._next_rid = 1
         self.flows_dropped = 0
 
-    # -- pid management -----------------------------------------------------
-
-    def _pid(self, sim: Any) -> int:
-        """Stable pid for one simulation (assigned on first contact)."""
-        pid = getattr(sim, "_trace_pid", None)
-        if pid is None:
-            pid = self._next_pid
-            self._next_pid += 1
-            sim._trace_pid = pid
-        return pid
-
     # -- spans and instants --------------------------------------------------
 
     def begin(self, sim: Any, name: str, cat: str = "span",
@@ -182,7 +170,7 @@ class Tracer:
         """Open a span at the simulation's current time; returns its id."""
         sid = self._next_sid
         self._next_sid += 1
-        self._open[sid] = (name, cat, lane, self._pid(sim), sim.now, args)
+        self._open[sid] = (name, cat, lane, sim.id, sim.now, args)
         return sid
 
     def end(self, sim: Any, sid: int, **args: Any) -> None:
@@ -222,7 +210,7 @@ class Tracer:
                 lane: str = "main", **args: Any) -> None:
         """Record a point event at the simulation's current time."""
         self._events.append(
-            ("i", sim.now, 0.0, self._pid(sim), lane, name, cat, args)
+            ("i", sim.now, 0.0, sim.id, lane, name, cat, args)
         )
         self.events_recorded += 1
         self.instants_recorded += 1
@@ -243,20 +231,19 @@ class Tracer:
         if len(self.flows) >= self.max_flows:
             self.flows_dropped += 1
             return
-        pid = self._pid(sim)
-        rec = FlowRecord(self._next_rid, pid, seq, src, dst, size, tags, sim.now)
+        rec = FlowRecord(self._next_rid, sim.id, seq, src, dst, size, tags, sim.now)
         self._next_rid += 1
         self.flows.append(rec)
-        self._live[(pid, seq)] = rec
+        self._live[(sim.id, seq)] = rec
 
     def flow_rate(self, sim: Any, seq: int, rate: float, bound: str) -> None:
         """Record a rate change with its bound tag (``window/rtt``, ...)."""
-        rec = self._live.get((self._pid(sim), seq))
+        rec = self._live.get((sim.id, seq))
         if rec is not None:
             rec.history.append((sim.now, rate, bound))
 
     def flow_drained(self, sim: Any, seq: int) -> None:
-        rec = self._live.pop((self._pid(sim), seq), None)
+        rec = self._live.pop((sim.id, seq), None)
         if rec is not None:
             rec.t_end = sim.now
 

@@ -13,7 +13,8 @@ import json
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.obs import OBS, export_metrics_dir, validate_metrics_dir
+from repro.obs import OBS, canonical_key, export_metrics_dir, parse_key
+from repro.obs import validate_metrics_dir
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parents[1]
@@ -42,6 +43,12 @@ def assert_metrics_match_golden(result, key: str) -> None:
     assert got == want, f"{key} metrics drifted with telemetry enabled"
 
 
+def assert_every_key_names_a_universe() -> None:
+    for table in OBS.read().values():
+        for key in table:
+            assert "sim" in parse_key(key)[1], f"{key} names no universe"
+
+
 class TestGoldenInvarianceWithTelemetry:
     """OBS on → same goldens. Pins the 'observation changes nothing' claim."""
 
@@ -51,6 +58,7 @@ class TestGoldenInvarianceWithTelemetry:
 
         with obs_enabled():
             result = run_e8(nbytes=GB(1))
+            assert_every_key_names_a_universe()
         assert_metrics_match_golden(result, "E8")
 
     def test_e3(self):
@@ -64,6 +72,7 @@ class TestGoldenInvarianceWithTelemetry:
                 per_client_phase_bytes=MB(96),
                 phases=2,
             )
+            assert_every_key_names_a_universe()
         assert_metrics_match_golden(result, "E3")
 
     def test_e13(self):
@@ -71,6 +80,7 @@ class TestGoldenInvarianceWithTelemetry:
 
         with obs_enabled():
             result = E13.run(quick=True)
+            assert_every_key_names_a_universe()
         assert_metrics_match_golden(result, "E13")
         assert result.obs is not None  # telemetry rides outside metrics
 
@@ -79,6 +89,7 @@ class TestGoldenInvarianceWithTelemetry:
 
         with obs_enabled():
             result = E14.run(quick=True)
+            assert_every_key_names_a_universe()
         assert_metrics_match_golden(result, "E14")
         assert result.obs is not None
 
@@ -106,12 +117,15 @@ class TestTwoUniverses:
 
         for _ in range(2):
             g, cluster, fs, _clients = small_gfs(nsd_servers=2)
-            mounts = [mounted(g, cluster, node=n) for n in ("c0", "c1")]
+            writer, reader = (mounted(g, cluster, node=n) for n in ("c0", "c1"))
 
-            def io(m=mounts[0]):
-                h = yield m.open("/f", "w", create=True)
-                yield m.write(h, b"x" * fs.block_size)
-                yield m.close(h)
+            def io():
+                h = yield writer.open("/f", "w", create=True)
+                yield writer.write(h, b"x" * fs.block_size)
+                yield writer.close(h)
+                h = yield reader.open("/f", "r")
+                yield reader.pread(h, 0, fs.block_size)
+                yield reader.close(h)
 
             run_io(g, io())
             OBS.scrape(g.sim)
@@ -129,6 +143,35 @@ class TestTwoUniverses:
                 in last["counters"]
             )
 
+    def test_inline_families_register_per_universe(self, tmp_path):
+        # The families a call site records (RPCs, server bytes, client
+        # reads) carry `sim` like the wired ones: equal node names in two
+        # universes give a key per universe, never one blended key.
+        with obs_enabled():
+            self._two_universes(tmp_path / "a")
+            last = OBS.rows[-1]
+
+        def keys_by_universe(family):
+            out = {}
+            for table in ("counters", "histograms"):
+                for key in last[table]:
+                    name, labels = parse_key(key)
+                    if name == family:
+                        sim = labels.pop("sim")
+                        out.setdefault(sim, set()).add(canonical_key(name, labels))
+            return out
+
+        for family in (
+            "client.read.ok", "client.read.latency", "nsd.rpc.total",
+            "nsd.rpc.latency", "nsd.server.bytes",
+        ):
+            keys = keys_by_universe(family)
+            assert sorted(keys) == ["1", "2"], family
+            assert keys["1"] == keys["2"], family
+        for sim in ("1", "2"):
+            assert last["counters"][f"client.read.ok{{client=c1,sim={sim}}}"] == 1.0
+            assert last["counters"][f"nsd.rpc.total{{op=read,sim={sim}}}"] >= 1.0
+
     def test_same_seed_exports_bit_identical(self, tmp_path):
         exports = []
         for run in ("a", "b"):
@@ -137,6 +180,45 @@ class TestTwoUniverses:
             exports.append({k: Path(p).read_bytes() for k, p in paths.items()})
         assert exports[0] == exports[1]
         validate_metrics_dir(str(tmp_path / "a"))
+
+
+class TestUniverseIds:
+    def test_trace_pid_is_export_sim(self):
+        # As in A5: a storage-only universe is traced, and never
+        # registered, before the full-stack universe is built. A universe
+        # is numbered at construction, so its trace pid and its export's
+        # `sim` agree whether or not tracing is on.
+        from repro.sim import Simulation
+        from repro.sim.trace import TRACE
+        from tests.core.testbed import mounted, run_io, small_gfs
+
+        with obs_enabled():
+            TRACE.enable()
+            try:
+                lun = Simulation()
+                TRACE.instant(lun, "lun.only")
+                g, cluster, fs, _ = small_gfs(nsd_servers=2)
+                m = mounted(g, cluster, node="c0")
+
+                def io():
+                    h = yield m.open("/f", "w", create=True)
+                    yield m.write(h, b"x" * fs.block_size)
+                    yield m.close(h)
+
+                run_io(g, io())
+                row = OBS.scrape(g.sim)
+                events = [
+                    e for e in TRACE.to_chrome()["traceEvents"] if e["ph"] != "M"
+                ]
+            finally:
+                TRACE.disable()
+                TRACE.reset()
+        assert (lun.id, g.sim.id) == (1, 2)
+        assert row["sim"] == g.sim.id
+        assert {e["pid"] for e in events if e["name"] == "lun.only"} == {lun.id}
+        assert {e["pid"] for e in events if e["name"] != "lun.only"} == {g.sim.id}
+        assert f"kernel.events{{sim={g.sim.id}}}" in row["counters"]
+        assert f"nsd.rpc.total{{op=write,sim={g.sim.id}}}" in row["counters"]
 
 
 class TestE13Telemetry:

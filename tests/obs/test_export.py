@@ -22,22 +22,23 @@ from repro.obs.export import (
     validate_profile_snapshot,
     write_jsonl,
 )
+from repro.obs.metrics import canonical_key, parse_key
 from repro.obs.registry import MetricsRegistry
 from repro.sim.kernel import Simulation
 
 SCHEMA_DOC = (
-    Path(__file__).resolve().parents[2] / "docs" / "schemas" / "metrics_v1.json"
+    Path(__file__).resolve().parents[2] / "docs" / "schemas" / "metrics_v2.json"
 )
 
 
-def make_registry() -> MetricsRegistry:
+def make_registry(sim: Simulation) -> MetricsRegistry:
     reg = MetricsRegistry()
-    reg.inc("nsd.rpc.total", 3, op="read")
-    reg.inc("nsd.rpc.total", 2, op="write")
-    reg.set_gauge("kernel.queue_depth", 4.0, t=1.0)
+    reg.inc(sim, "nsd.rpc.total", 3, op="read")
+    reg.inc(sim, "nsd.rpc.total", 2, op="write")
+    reg.set_gauge(sim, "kernel.queue_depth", 4.0)
     for v in (0.001, 0.01, 0.2):
-        reg.observe("nsd.rpc.latency", v, op="read")
-    reg.observe("nsd.rpc.latency", 0.5, op="write")
+        reg.observe(sim, "nsd.rpc.latency", v, op="read")
+    reg.observe(sim, "nsd.rpc.latency", 0.5, op="write")
     return reg
 
 
@@ -50,29 +51,30 @@ class TestCheckedInSchema:
 
 class TestPrometheus:
     def test_output_validates(self):
-        reg = make_registry()
-        row = reg.scrape(Simulation())
+        sim = Simulation()
+        row = make_registry(sim).scrape(sim)
         text = to_prometheus(row)
         assert validate_prometheus(text) > 0
         assert '# TYPE nsd_rpc_total counter' in text
-        assert 'nsd_rpc_total{op="read"} 3' in text
+        assert f'nsd_rpc_total{{op="read",sim="{sim.id}"}} 3' in text
         assert '# TYPE nsd_rpc_latency histogram' in text
-        assert 'nsd_rpc_latency_count{op="read"} 3' in text
+        assert f'nsd_rpc_latency_count{{op="read",sim="{sim.id}"}} 3' in text
 
     def test_histogram_buckets_cumulative_with_inf(self):
+        sim = Simulation()
         reg = MetricsRegistry()
-        reg.observe("lat", 0.5)
-        reg.observe("lat", 0.5)
-        text = to_prometheus(reg.scrape(Simulation()))
-        assert 'lat_bucket{le="+Inf"} 2' in text
+        reg.observe(sim, "lat", 0.5)
+        reg.observe(sim, "lat", 0.5)
+        text = to_prometheus(reg.scrape(sim))
+        assert f'lat_bucket{{le="+Inf",sim="{sim.id}"}} 2' in text
         validate_prometheus(text)
 
     def test_labeled_series_validated_independently(self):
         # Regression: `le` sorts first, so a naive series key collapsed
         # all op= children into one bucket sequence and flagged false
         # non-monotonicity.
-        reg = make_registry()
-        validate_prometheus(to_prometheus(reg.scrape(Simulation())))
+        sim = Simulation()
+        validate_prometheus(to_prometheus(make_registry(sim).scrape(sim)))
 
     def test_missing_inf_bucket_rejected(self):
         with pytest.raises(SchemaError, match="Inf"):
@@ -85,8 +87,8 @@ class TestPrometheus:
 
 class TestJsonl:
     def test_roundtrip(self, tmp_path):
-        reg = make_registry()
         sim = Simulation()
+        reg = make_registry(sim)
         reg.scrape(sim)
         reg.scrape(sim)
         path = str(tmp_path / "m.jsonl")
@@ -121,17 +123,31 @@ class TestJsonl:
         with pytest.raises(SchemaError):
             validate_snapshot_row([])
         with pytest.raises(SchemaError, match="missing field"):
-            validate_snapshot_row({"schema": "repro.metrics/v1"})
-        row = make_registry().scrape(Simulation())
-        row["histograms"]["nsd.rpc.latency{op=read}"]["count"] = 99
+            validate_snapshot_row({"schema": "repro.metrics/v2"})
+        sim = Simulation()
+        row = make_registry(sim).scrape(sim)
+        row["histograms"][f"nsd.rpc.latency{{op=read,sim={sim.id}}}"]["count"] = 99
         with pytest.raises(SchemaError, match="sum to count"):
             validate_snapshot_row(row)
+
+    def test_row_validation_rejects_keys_without_a_universe(self):
+        sim = Simulation()
+        row = make_registry(sim).scrape(sim)
+        validate_snapshot_row(row)
+        for table in ("counters", "gauges", "histograms"):
+            key, value = next(iter(row[table].items()))
+            family, labels = parse_key(key)
+            del labels["sim"]
+            bad = {**row, table: {canonical_key(family, labels): value}}
+            with pytest.raises(SchemaError, match=f"{table} key .* has no 'sim'"):
+                validate_snapshot_row(bad)
 
 
 class TestMetricsDir:
     def test_export_and_validate(self, tmp_path):
-        reg = make_registry()
-        reg.scrape(Simulation())
+        sim = Simulation()
+        reg = make_registry(sim)
+        reg.scrape(sim)
         paths = export_metrics_dir(
             reg, str(tmp_path), "E99", meta={"phases": []}
         )
@@ -153,9 +169,9 @@ class TestSnapshotDedup:
     def test_profile_snapshot_is_the_profile_schema(self):
         # Counter families summed over their label sets; gauges and
         # histograms stay out of the profile.
-        reg = make_registry()
-        reg.register_callback("flow.recomputes", lambda: 4.0, kind="counter", sim="1")
-        reg.register_callback("flow.recomputes", lambda: 6.0, kind="counter", sim="2")
+        reg = make_registry(Simulation())
+        reg.register_callback(Simulation(), "flow.recomputes", lambda: 4.0, kind="counter")
+        reg.register_callback(Simulation(), "flow.recomputes", lambda: 6.0, kind="counter")
         snap = profile_snapshot(reg)
         assert snap == {"counters": {"flow.recomputes": 10.0, "nsd.rpc.total": 5.0}}
         validate_profile_snapshot(snap)

@@ -2,10 +2,12 @@
 
 from repro.obs.export import export_metrics_dir
 from repro.obs.health import (
+    cache_rollup,
     client_rollup,
     control_plane_rollup,
     link_rollup,
     main,
+    pagepool_rollup,
     render_html,
     render_report,
     server_rollup,
@@ -22,13 +24,11 @@ def fleet_registry() -> MetricsRegistry:
     for t in (0.0, 1.0, 2.0):
         sim._now = t
         for client in ("anl-n000", "anl-n001"):
-            reg.observe("client.read.latency", 0.01 + t / 10, client=client)
-            reg.inc("client.read.ok", client=client)
-        reg.inc("nsd.server.bytes", 1e6, server="nsd00", dir="out")
-        reg.inc("nsd.server.bytes", 5e5, server="nsd00", dir="in")
-        reg.set_gauge(
-            "net.link.utilization", 0.25 * (t + 1), t, link="a->b", sim="1"
-        )
+            reg.observe(sim, "client.read.latency", 0.01 + t / 10, client=client)
+            reg.inc(sim, "client.read.ok", client=client)
+        reg.inc(sim, "nsd.server.bytes", 1e6, server="nsd00", dir="out")
+        reg.inc(sim, "nsd.server.bytes", 5e5, server="nsd00", dir="in")
+        reg.set_gauge(sim, "net.link.utilization", 0.25 * (t + 1), link="a->b")
         reg.scrape(sim)
     return reg
 
@@ -72,14 +72,47 @@ class TestRollups:
 
     def test_control_plane_rows_per_universe(self):
         reg = MetricsRegistry()
-        reg.inc("tokens.manager_down", node="nsd00")
-        reg.observe("faults.detection_latency", 1.0, sim="1")
-        reg.observe("faults.detection_latency", 0.5, sim="2")
-        rows = control_plane_rollup([reg.scrape(Simulation())])
+        one, two = Simulation(), Simulation()
+        reg.inc(one, "tokens.manager_down", fs="gpfs0")
+        reg.inc(two, "tokens.manager_down", 0, fs="gpfs0")
+        reg.observe(one, "faults.detection_latency", 1.0)
+        reg.observe(two, "faults.detection_latency", 0.5)
+        rows = control_plane_rollup([reg.scrape(two)])
         assert [(r["signal"], r["sim"], r["mean"]) for r in rows] == [
-            ("manager outages", "-", None),
-            ("crash detection latency", "1", 1.0),
-            ("crash detection latency", "2", 0.5),
+            ("manager outages", str(one.id), None),
+            ("crash detection latency", str(one.id), 1.0),
+            ("crash detection latency", str(two.id), 0.5),
+        ]
+
+    def test_shared_names_roll_up_per_universe(self):
+        # Fig 11's sweep builds one scenario per node count with the same
+        # client, server, gateway and link names: one row per universe.
+        reg = MetricsRegistry()
+        sims = [Simulation(), Simulation()]
+        for n, sim in enumerate(sims, 1):
+            reg.observe(sim, "client.read.latency", 0.01 * n, client="c0")
+            reg.inc(sim, "nsd.server.bytes", 1e6 * n, server="nsd00", dir="out")
+            reg.inc(sim, "client.pagepool.hits", n, client="c0", fs="gpfs0", m="1")
+            reg.inc(sim, "cache.hits", n, gw="gw0", fs="gpfs0")
+            reg.set_gauge(sim, "net.link.utilization", 0.25 * n, link="a->b")
+        rows = [reg.scrape(sims[1])]
+        one, two = (str(sim.id) for sim in sims)
+        assert [(c["sim"], c["client"], c["max"]) for c in client_rollup(rows)] == [
+            (one, "c0", 0.01), (two, "c0", 0.02),
+        ]
+        assert [(s["sim"], s["server"], s["bytes_out"])
+                for s in server_rollup(rows)] == [
+            (one, "nsd00", 1e6), (two, "nsd00", 2e6),
+        ]
+        assert [(p["sim"], p["client"], p["hits"])
+                for p in pagepool_rollup(rows)] == [
+            (one, "c0", 1.0), (two, "c0", 2.0),
+        ]
+        assert [(g["sim"], g["gw"], g["hits"]) for g in cache_rollup(rows)] == [
+            (one, "gw0", 1.0), (two, "gw0", 2.0),
+        ]
+        assert [(k["sim"], k["link"], k["peak"]) for k in link_rollup(rows)] == [
+            (one, "a->b", 0.25), (two, "a->b", 0.5),
         ]
 
     def test_empty_rows(self):

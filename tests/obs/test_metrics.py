@@ -43,25 +43,17 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_keeps_sample_history_not_just_last(self):
+    def test_holds_the_last_value(self):
         g = Gauge("g")
-        g.set(3.0, t=0.0)
-        g.set(5.0, t=2.0)
-        assert g.last() == 5.0
-        assert g.series().times == [0.0, 2.0]
-        assert g.series().values == [3.0, 5.0]
+        assert g.empty
+        g.set(3.0)
+        g.set(5)
+        assert not g.empty
+        assert g.last() == g.value == 5.0
 
     def test_unset_last_raises_naming_gauge(self):
         with pytest.raises(MetricError, match="'depth'"):
             Gauge("depth").last()
-
-    def test_bounded_samples(self):
-        g = Gauge("g", max_samples=3)
-        for i in range(5):
-            g.set(float(i), t=float(i))
-        assert len(g.samples) == 3
-        assert g.dropped == 2
-        assert g.last() == 4.0  # newest value survives
 
 
 class TestHistogramBucketing:

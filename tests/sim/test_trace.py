@@ -26,8 +26,9 @@ class TestSpans:
 
         sim.process(proc(sim))
         sim.run()
-        (ph, t0, dur, _pid, lane, name, cat, _args) = tracer._events[0]
+        (ph, t0, dur, pid, lane, name, cat, _args) = tracer._events[0]
         assert (ph, name, cat, lane) == ("X", "io", "storage", "disk0")
+        assert pid == sim.id
         assert t0 == 0.0 and dur == pytest.approx(2.5)
 
     def test_nested_spans_close_in_order(self, tracer):
@@ -122,10 +123,6 @@ class TestDisabledZeroOverhead:
         # cap_kind is only computed under tracing.
         assert eng.completed_flows == 20
 
-    def test_disabled_sim_gets_no_pid(self):
-        sim = Simulation()
-        assert not hasattr(sim, "_trace_pid")
-
 
 class TestFlowRecords:
     def test_lifecycle_and_timeline(self, tracer):
@@ -178,6 +175,20 @@ class TestFlowRecords:
             tracer.flow_drained(sim, 0)
         assert len(tracer.flows) == 2
         assert tracer.flows[0].pid != tracer.flows[1].pid
+
+    def test_pid_is_the_universe_id(self, tracer):
+        # A universe's pid is the id it took at construction (its metrics
+        # `sim` label), not the order in which the recorder first met it.
+        first, second = Simulation(), Simulation()
+        tracer.instant(second, "b")
+        tracer.flow_created(first, 0, "a", "b", 1.0, ())
+        tracer.instant(first, "a")
+        pids = {
+            e["name"]: e["pid"] for e in tracer.to_chrome()["traceEvents"]
+            if e["ph"] == "i"
+        }
+        assert pids == {"a": first.id, "b": second.id}
+        assert tracer.flows[0].pid == first.id
 
 
 class TestExport:

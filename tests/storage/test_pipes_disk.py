@@ -68,7 +68,7 @@ def idle_stage_spans(serve):
         sim.run()
         assert pipe.bytes_served == MB(50) and pipe.ios_served == 1
         return [(t0, dur, lane, name, cat, args)
-                for _ph, t0, dur, _pid, lane, name, cat, args in TRACE._events]
+                for _ph, t0, dur, _, lane, name, cat, args in TRACE._events]
     finally:
         TRACE.disable()
         TRACE.reset()
