@@ -7,11 +7,11 @@ it. Three workloads:
 
 * ``event_churn`` — pure kernel: processes spinning on zero-timeout
   sequencers, child-process composition, already-processed event waits,
-  and scheduled callbacks. This is exactly the event mix one block RPC
-  generates, with no network or storage work attached.
+  and scheduled callbacks, with no network or storage work attached.
 * ``block_rpc`` — NSD write+read round trips from N clients striped over
   M servers on a size-only filesystem (no byte copying), i.e. the
-  per-block control/data/ack protocol cost.
+  per-block control/data/ack protocol cost. Each client process drives
+  its RPCs with ``yield from``, as the client's run processes do.
 * ``block_rpc_coalesced`` — the same logical blocks moved through the
   scatter-gather multi-block RPCs (``read_blocks``/``write_blocks``)
   with ``max_coalesce=8``: one control round trip and one engine
@@ -43,10 +43,10 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
 def run_event_churn(nprocs: int = 200, iters: int = 100) -> dict:
     """Drive ``nprocs`` processes through ``iters`` kernel-heavy rounds.
 
-    Each round exercises the four hot kernel paths a block RPC leans on:
-    a zero-timeout sequencer, a child-process spawn + composition wait, a
-    wait on an already-processed event (the relay/trampoline path), and a
-    scheduled callback hop.
+    Each round exercises four hot kernel paths: a zero-timeout sequencer,
+    a child-process spawn + composition wait, a wait on an
+    already-processed event (the relay/trampoline path), and a scheduled
+    callback hop.
     """
     sim = Simulation()
     ticks = [0]
@@ -114,8 +114,8 @@ def run_block_rpc(clients: int = 16, servers: int = 8, blocks: int = 64) -> dict
         for b in range(blocks):
             nsd_id = nsd_ids[b % len(nsd_ids)]
             phys = (client_i * blocks + b) // len(nsd_ids)
-            yield service.write_block(node, nsd_id, phys, 0, bs)
-            yield service.read_block(node, nsd_id, phys, 0, bs)
+            yield from service.write_block(node, nsd_id, phys, 0, bs)
+            yield from service.read_block(node, nsd_id, phys, 0, bs)
 
     for i, node in enumerate(client_names):
         g.sim.process(io(i, node))
@@ -148,10 +148,10 @@ def run_block_rpc_coalesced(
             nsd_id = nsd_ids[client_i % len(nsd_ids)]
             base = client_i * blocks
             phys_run = [base + b for b in run]
-            yield service.write_blocks(
+            yield from service.write_blocks(
                 node, nsd_id, [(p, 0, bs) for p in phys_run]
             )
-            yield service.read_blocks(node, nsd_id, phys_run)
+            yield from service.read_blocks(node, nsd_id, phys_run)
 
     for i, node in enumerate(client_names):
         g.sim.process(io(i, node))

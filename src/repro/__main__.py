@@ -48,7 +48,8 @@ def _info() -> str:
         "run one:     python -m repro report --quick --only E1",
         "run all:     python -m repro report --quick",
         "unit tests:  pytest tests/",
-        "paper gates: python -m repro report  (full size; exits 1 on a failed gate)",
+        "paper gates: python -m repro report  (full size; exits 1 on a failed gate;",
+        "             --quick checks the gates that hold at quick size)",
     ]
     return "\n".join(lines)
 

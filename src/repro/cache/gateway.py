@@ -438,7 +438,7 @@ class CacheGateway:
                 None if isinstance(payload, int) else payload,
                 length, dirty_seq=0,
             )
-            yield self._home_write(gw, ino, block, nsd_id, [(phys, lo, payload)])
+            yield from self._home_write(gw, ino, block, nsd_id, [(phys, lo, payload)])
             self.writes_through += 1
         else:
             yield from self._enqueue(gw, inode, block, nsd_id, phys, lo, payload)
@@ -451,9 +451,10 @@ class CacheGateway:
                 gw=self.name, mode=self.mode,
             )
 
-    def _home_write(self, gw, ino, block, nsd_id, extents) -> Event:
+    def _home_write(self, gw, ino, block, nsd_id, extents):
         """Write a run of ``(phys, offset, data)`` extents to the home
-        cluster; ``block`` of inode ``ino`` is the first extent's block."""
+        cluster (``yield from``); ``block`` of inode ``ino`` is the first
+        extent's block."""
         return write_run(
             self.fs, gw, ino, block, nsd_id, extents, self.tags + ("write",)
         )
@@ -514,7 +515,7 @@ class CacheGateway:
             )
             # read the dirty data back off the gateway's local media
             yield self.disks[head.gw].transfer(max(total, 1))
-            yield self._home_write(
+            yield from self._home_write(
                 head.gw, head.ino, head.block, head.nsd_id,
                 [(q.phys, q.lo, q.payload) for q in batch],
             )
@@ -654,9 +655,11 @@ class GatewayMount(MountedFs):
 
     def _write_run(self, inode, run, extents):
         ((phys, lo, payload),) = extents
-        return self.gateway.write_block(
-            self.node, inode, run.blocks[0], run.nsd_id, phys, lo, payload,
-            tags=self.tags + ("write",),
+        return (
+            yield self.gateway.write_block(
+                self.node, inode, run.blocks[0], run.nsd_id, phys, lo, payload,
+                tags=self.tags + ("write",),
+            )
         )
 
     def _fsync(self, ino: int):

@@ -596,9 +596,9 @@ class MountedFs:
             self.tags + ("read",),
         )
 
-    def _write_run(self, inode: Inode, run: TransferRun, extents) -> Event:
-        """Write one run's ``(phys, offset, data)`` extents home; subclasses
-        reroute (caching gateway)."""
+    def _write_run(self, inode: Inode, run: TransferRun, extents):
+        """Write one run's ``(phys, offset, data)`` extents home
+        (``yield from``); subclasses reroute (caching gateway)."""
         return write_run(
             self.fs, self.node, inode.ino, run.blocks[0], run.nsd_id, extents,
             self.tags + ("write",),
@@ -658,7 +658,7 @@ class MountedFs:
                     extents.append((phys, lo, payload))
                 if extents:
                     try:
-                        yield self._write_run(inode, run, extents)
+                        yield from self._write_run(inode, run, extents)
                     except OSError as exc:
                         self.flush_failures += 1
                         self._flush_errors.setdefault(ino, exc)

@@ -221,13 +221,13 @@ class NsdServer:
         self.tags = tags  # e.g. the SCinet lane this server's NIC rides
         self.bytes_served = 0.0
 
-    def disk_io(self, sim: Simulation, nsd: Nsd, kind: str, nbytes: float) -> Event:
-        """The server-side SAN leg: HBA then LUN (skipped for diskless NSDs)."""
-        return sim.process(self._disk_io(sim, nsd, kind, nbytes),
-                           name=f"{self.name}-san-{kind}")
+    def disk_io(self, sim: Simulation, nsd: Nsd, kind: str,
+                nbytes: float) -> Generator[Event, None, None]:
+        """The server-side SAN leg: HBA then LUN (skipped for diskless NSDs).
 
-    def _disk_io(self, sim: Simulation, nsd: Nsd, kind: str,
-                 nbytes: float) -> Generator[Event, None, None]:
+        A generator its caller drives with ``yield from``, inside the RPC
+        (or scrub) that pays for it.
+        """
         sid = TRACE.begin(
             sim, f"san.{kind}", cat="storage.san", lane=f"nsd:{self.name}",
             nsd=nsd.name, bytes=nbytes,
@@ -242,6 +242,9 @@ class NsdServer:
         if sid:
             TRACE.end(sim, sid)
 
+
+#: A block RPC: a generator its waiting caller drives with ``yield from``.
+RpcGen = Generator[Event, object, object]
 
 #: Resolver hooks: (client_node, server_node) → value.
 CapResolver = Callable[[str, str], Optional[float]]
@@ -502,6 +505,11 @@ class NsdService:
     # one control message, one disk I/O, one pass through each crypto pipe
     # and one engine transfer, all sized by the extents' combined length;
     # stores, fetches, checksums and block counters stay per extent.
+    #
+    # Each of the four returns the RPC as a generator: the process waiting
+    # on it drives it with ``yield from`` and gets its value back, so an
+    # RPC costs its caller no process of its own. A caller that needs
+    # several RPCs in flight wraps each in ``sim.process``.
 
     def write_block(
         self,
@@ -511,8 +519,9 @@ class NsdService:
         offset: int,
         data: bytes | int,
         tags: tuple[str, ...] = (),
-    ) -> Event:
-        """Write ``data`` (bytes, or a length for size-only mode) to a block."""
+    ) -> RpcGen:
+        """Write ``data`` (bytes, or a length for size-only mode) to a block;
+        returns the byte count."""
         return self._rpc("write", (client_node, nsd_id, ((phys, offset, data),), tags))
 
     def write_blocks(
@@ -521,13 +530,13 @@ class NsdService:
         nsd_id: int,
         items,
         tags: tuple[str, ...] = (),
-    ) -> Event:
+    ) -> RpcGen:
         """Scatter-gather write of several blocks of one NSD in one RPC.
 
         ``items`` is ``[(phys, offset, data_or_len), ...]`` — typically a
         run of contiguous physical blocks planned by
-        :func:`repro.core.client.plan_transfers`. The event's value is the
-        total byte count.
+        :func:`repro.core.client.plan_transfers`. Returns the total byte
+        count.
         """
         if not items:
             raise ValueError("write_blocks needs at least one (phys, offset, data)")
@@ -542,8 +551,8 @@ class NsdService:
         length: int,
         tags: tuple[str, ...] = (),
         verify: bool = False,
-    ) -> Event:
-        """Read a block slice; the event's value is the data (bytes).
+    ) -> RpcGen:
+        """Read a block slice; returns the data (bytes).
 
         ``verify=True`` (full-block reads only) checks the transferred
         data against the block's stored end-to-end checksum at the client
@@ -563,13 +572,13 @@ class NsdService:
         phys_list,
         tags: tuple[str, ...] = (),
         verify: bool = False,
-    ) -> Event:
+    ) -> RpcGen:
         """Scatter-gather full-block read of one NSD in one RPC.
 
         ``phys_list`` is a run of physical block numbers (contiguous for
         the aggregated-seek benefit, though any list works). With
-        ``verify=True`` every block is checked end to end. The event's
-        value is ``[bytes, ...]`` in ``phys_list`` order.
+        ``verify=True`` every block is checked end to end. Returns
+        ``[bytes, ...]`` in ``phys_list`` order.
         """
         bs = int(self.nsds[nsd_id].block_size)
         extents = [(phys, 0, bs) for phys in phys_list]
@@ -577,16 +586,17 @@ class NsdService:
             raise ValueError("read_blocks needs at least one physical block")
         return self._rpc("read", (client_node, nsd_id, extents, tags, verify, False))
 
-    def _rpc(self, kind: str, args: tuple) -> Event:
-        """Issue one ``_read``/``_write`` RPC as a process (with retry and
-        telemetry when armed)."""
+    def _rpc(self, kind: str, args: tuple) -> RpcGen:
+        """One ``_read``/``_write`` RPC as a generator for the caller to
+        ``yield from`` (with retry and telemetry when armed). It spawns
+        nothing."""
         if self.retry is not None:
             gen = self._with_retry(kind, args)
         else:
             gen = self._read(*args) if kind == "read" else self._write(*args)
         if OBS.enabled:
             gen = self._obs_rpc(kind, gen)
-        return self.sim.process(gen, name="nsd-" + kind)
+        return gen
 
     def _write(self, client_node, nsd_id, extents, tags):
         nsd = self.nsds[nsd_id]
@@ -636,7 +646,7 @@ class NsdService:
         # 2. media write
         sid = tr.begin(self.sim, "disk.service", cat="nsd.disk",
                        lane=lane) if tr else 0
-        yield server.disk_io(self.sim, nsd, "write", total)
+        yield from server.disk_io(self.sim, nsd, "write", total)
         if sid:
             tr.end(self.sim, sid)
         # logical effect, per block
@@ -698,7 +708,7 @@ class NsdService:
         # 2. media read
         sid = tr.begin(self.sim, "disk.service", cat="nsd.disk",
                        lane=lane) if tr else 0
-        yield server.disk_io(self.sim, nsd, "read", total)
+        yield from server.disk_io(self.sim, nsd, "read", total)
         if sid:
             tr.end(self.sim, sid)
         datas = [nsd.fetch(phys, offset, length) for phys, offset, length in extents]
@@ -758,7 +768,8 @@ class NsdService:
         """One block RPC (``kind`` "read" or "write") with per-attempt
         timeout, backoff, and failover.
 
-        Each attempt races the RPC against ``retry.rpc_timeout``. An
+        Each attempt races the RPC against ``retry.rpc_timeout`` in a
+        process of its own, so a stuck attempt can be interrupted. An
         attempt that raises :class:`NsdServerDown` (crashed server, lease
         declared) or times out (stuck against a not-yet-declared corpse)
         is abandoned and re-issued after exponential backoff with seeded

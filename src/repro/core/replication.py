@@ -123,7 +123,7 @@ class ReplicaManager:
 
         def _one(nsd_id: int, phys: int):
             try:
-                yield self.fs.service.write_block(
+                yield from self.fs.service.write_block(
                     client_node, nsd_id, phys, offset, data, tags=tags
                 )
             except (ConnectionError, ChecksumError):
@@ -214,7 +214,7 @@ class ReplicaManager:
         for nsd_id, phys in self._read_order(placements):
             attempts += 1
             try:
-                data = yield self.fs.service.read_block(
+                data = yield from self.fs.service.read_block(
                     client_node, nsd_id, phys, 0, bs,
                     tags=tags, verify=self.policy.verify_reads,
                 )
@@ -263,7 +263,7 @@ class ReplicaManager:
 
         def _proc():
             try:
-                yield self.fs.service.write_block(
+                yield from self.fs.service.write_block(
                     writer_node, nsd_id, phys, 0, data, tags=tags + ("repair",)
                 )
             except (ConnectionError, ChecksumError):
@@ -307,24 +307,29 @@ def read_run(fs, node: str, ino: int, block: int, nsd_id: int, phys, tags):
     ``phys`` lists the run's physical blocks on NSD ``nsd_id``; logical
     block ``block`` of inode ``ino`` is the first of them. Returns the
     blocks' bytes in run order. A replicated filesystem reads its
-    one-block runs through the :class:`ReplicaManager`; any other reads a
-    run in one NSD RPC. ``yield from`` adds no events.
+    one-block runs through the :class:`ReplicaManager`; any other runs
+    one NSD RPC inside the caller's process. ``yield from`` adds no
+    events.
     """
     if fs.replication.active:
         placements = fs.replica_placements(fs.inodes.get(ino), block)
         return [(yield fs.integrity.read_block(node, placements, tags=tags))]
-    return (yield fs.service.read_blocks(node, nsd_id, phys, tags=tags))
+    return (yield from fs.service.read_blocks(node, nsd_id, phys, tags=tags))
 
 
-def write_run(fs, node: str, ino: int, block: int, nsd_id: int, extents,
-              tags) -> Event:
-    """Write one planned run of ``(phys, offset, data)`` extents for ``node``.
+def write_run(fs, node: str, ino: int, block: int, nsd_id: int, extents, tags):
+    """Write one planned run of ``(phys, offset, data)`` extents for ``node``;
+    ``yield from`` it in a process.
 
-    Arguments as for :func:`read_run`. The event fires at the ack: on a
-    replicated filesystem, at the ack quorum of the run's one block.
+    Arguments as for :func:`read_run`. Returns the byte count at the ack:
+    on a replicated filesystem, at the ack quorum of the run's one block;
+    on any other, when the run's one NSD RPC, run inside the caller's
+    process, is acked.
     """
     if fs.replication.active:
         ((_phys, offset, data),) = extents
         placements = fs.replica_placements(fs.inodes.get(ino), block)
-        return fs.integrity.write_block(node, placements, offset, data, tags=tags)
-    return fs.service.write_blocks(node, nsd_id, extents, tags=tags)
+        return (
+            yield fs.integrity.write_block(node, placements, offset, data, tags=tags)
+        )
+    return (yield from fs.service.write_blocks(node, nsd_id, extents, tags=tags))

@@ -102,7 +102,7 @@ class Scrubber:
                 if nsd.checksum(phys) is None and phys not in nsd._poisoned:
                     continue  # never written — nothing to verify
                 # The at-rest verification pays a real (throttled) disk read.
-                yield server.disk_io(self.sim, nsd, "read", bs)
+                yield from server.disk_io(self.sim, nsd, "read", bs)
                 yield self.sim.timeout(bs / self.rate)
                 self.blocks_scanned += 1
                 self.bytes_read += bs
@@ -146,10 +146,12 @@ class Scrubber:
         good_nsd, good_phys = good
         home = service.servers[bad_nsd].node
         try:
-            data = yield service.read_block(
+            data = yield from service.read_block(
                 home, good_nsd, good_phys, 0, bs, tags=self.tags, verify=True
             )
-            yield service.write_block(home, bad_nsd, bad_phys, 0, data, tags=self.tags)
+            yield from service.write_block(
+                home, bad_nsd, bad_phys, 0, data, tags=self.tags
+            )
         except (ConnectionError, ChecksumError):
             self.repair_failures += 1
             return

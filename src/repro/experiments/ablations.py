@@ -128,11 +128,14 @@ A2 = Experiment(
     quick=dict(server_counts=(8, 16), clients=12, region_bytes=MiB(16)),
     gates=(
         Gate("8_to_16_servers", lambda m: m["rate_16srv"] > 1.5 * m["rate_8srv"],
-             "rate_16srv > 1.5 x rate_8srv: server GbE binds (paper: 64 Gb/s)"),
+             "rate_16srv > 1.5 x rate_8srv: server GbE binds (paper: 64 Gb/s)",
+             quick=False),
         Gate("16_to_32_servers", lambda m: m["rate_32srv"] > m["rate_16srv"],
-             "rate_32srv > rate_16srv"),
+             "rate_32srv > rate_16srv",
+             quick=False),
         Gate("clients_bind", lambda m: m["rate_32srv"] < 4 * m["rate_8srv"],
-             "rate_32srv < 4 x rate_8srv: the fixed client population binds"),
+             "rate_32srv < 4 x rate_8srv: the fixed client population binds",
+             quick=False),
     ),
 )
 
@@ -412,7 +415,8 @@ A6 = Experiment(
     quick=dict(losses=(0.0, 1e-5, 1e-3)),
     gates=(
         Gate("window_limited_at_1e-6", lambda m: m["single_0"] == m["single_1em06"],
-             "single_0 == single_1em06: window-limited, not loss-limited"),
+             "single_0 == single_1em06: window-limited, not loss-limited",
+             quick=False),
         Gate("mathis_scaling",
              lambda m: 8 < m["single_1em05"] / m["single_1em03"] < 12.5,
              "8 < ratio < 12.5 (Mathis: 100x the loss, 1/10 the rate)"),

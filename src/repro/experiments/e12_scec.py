@@ -81,11 +81,14 @@ E12 = Experiment(
     quick=dict(ranks=8, scaled_bytes=MB(256), nsd_servers=32, ds4100_count=16),
     gates=(
         Gate("write_rate", lambda m: GB(0.5) < m["write_rate"] < GB(4),
-             "0.5 GB/s < write_rate < 4 GB/s: ~1 GB/s for a 32-rank run"),
+             "0.5 GB/s < write_rate < 4 GB/s: ~1 GB/s for a 32-rank run",
+             quick=False),
         Gate("drain_days", lambda m: 1 < m["drain_days"] < 10,
-             "1 < drain_days < 10: a 250 TB run (paper) drains in days"),
+             "1 < drain_days < 10: a 250 TB run (paper) drains in days",
+             quick=False),
         Gate("fits_empty", lambda m: m["fits_empty"] == 1.0,
-             "== 1: 250 TB fits an empty filesystem"),
+             "== 1: 250 TB fits an empty filesystem",
+             quick=False),
         Gate("fits_with_resident_data", lambda m: m["fits_with_resident_data"] == 0.0,
              "== 0: 250 TB does not fit beside 250 TB of resident data"),
         Gate("hsm_must_free", lambda m: m["hsm_must_free"] > TB(10),

@@ -31,6 +31,7 @@ from repro.obs import (
     DEFAULT_LATENCY_BOUNDS,
     LatencyObjective,
     SloTracker,
+    universe_rows,
 )
 from repro.util.tables import Table
 from repro.util.timeseries import TimeSeries
@@ -237,7 +238,11 @@ def run_e13(
                 window=2.0,
             ))
         )
-        result.obs = {"phases": phases, "slo": tracker.evaluate(OBS.rows)}
+        result.obs = {
+            "sim": g.sim.id,
+            "phases": phases,
+            "slo": tracker.evaluate(universe_rows(OBS.rows, g.sim.id)),
+        }
     return result
 
 

@@ -36,7 +36,7 @@ from repro.core.scrub import Scrubber
 from repro.experiments.e13_chaos import window_mean
 from repro.experiments.harness import Experiment, ExperimentResult, Gate
 from repro.faults import FaultSchedule, RetryPolicy, attach_faults
-from repro.obs import OBS, AvailabilityObjective, SloTracker
+from repro.obs import OBS, AvailabilityObjective, SloTracker, universe_rows
 from repro.util.tables import Table
 from repro.util.units import MB, MiB
 
@@ -307,7 +307,11 @@ def run_e14(
             target=1.0,
             window=2.0,
         ))
-        result.obs = {"phases": phases, "slo": tracker.evaluate(OBS.rows)}
+        result.obs = {
+            "sim": g.sim.id,
+            "phases": phases,
+            "slo": tracker.evaluate(universe_rows(OBS.rows, g.sim.id)),
+        }
     return result
 
 

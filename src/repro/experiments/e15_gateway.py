@@ -40,6 +40,7 @@ from repro.obs import (
     DEFAULT_LATENCY_BOUNDS,
     LatencyObjective,
     SloTracker,
+    universe_rows,
 )
 from repro.util.tables import Table
 from repro.util.units import Gbps, MB, MiB
@@ -392,9 +393,11 @@ def run_e15(
                 window=2.0,
             ))
         )
+        sim_id = obs_meta["sim"].id
         result.obs = {
+            "sim": sim_id,
             "phases": obs_meta["phases"],
-            "slo": tracker.evaluate(OBS.rows),
+            "slo": tracker.evaluate(universe_rows(OBS.rows, sim_id)),
         }
     return result
 

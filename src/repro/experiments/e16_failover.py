@@ -242,6 +242,7 @@ def run_e16(
     if OBS.enabled:
         OBS.scrape(g.sim)
         result.obs = {
+            "sim": g.sim.id,
             "phases": [
                 {"name": "nominal", "t0": t0, "t1": t_crash},
                 {"name": "outage", "t0": t_crash, "t1": t_takeover},

@@ -97,7 +97,8 @@ E8 = Experiment(
         Gate("single_stream_at_80ms", lambda m: m["rate_rtt80_s1"] < Gbps(0.3),
              "< 0.3 Gb/s: one 2 MiB-window stream is window/RTT bound at 80 ms"),
         Gate("parallel_streams_at_80ms", lambda m: m["rate_rtt80_s64"] > Gbps(9),
-             "> 9 Gb/s (paper: line rate at 80 ms given NSD parallelism)"),
+             "> 9 Gb/s (paper: line rate at 80 ms given NSD parallelism)",
+             quick=False),
         Gate("parallelism_gain_at_80ms", lambda m: m["parallelism_gain_at_80ms"] > 20,
              "> 20x from 1 to 64 streams at 80 ms"),
         Gate("monotone_in_streams",

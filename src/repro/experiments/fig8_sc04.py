@@ -138,11 +138,13 @@ E3 = Experiment(
                per_client_phase_bytes=MB(96), phases=2),
     gates=(
         Gate("lane_min_mean", lambda m: m["lane_min_mean"] > Gbps(6),
-             "> 6 Gb/s (paper: each 10 GbE lane between 7 and 9 Gb/s)"),
+             "> 6 Gb/s (paper: each 10 GbE lane between 7 and 9 Gb/s)",
+             quick=False),
         Gate("lane_max_mean", lambda m: m["lane_max_mean"] < Gbps(9.5),
              "< 9.5 Gb/s (paper: each 10 GbE lane between 7 and 9 Gb/s)"),
         Gate("aggregate_mean", lambda m: Gbps(20) < m["aggregate_mean"] < Gbps(28.5),
-             "20 Gb/s < aggregate_mean < 28.5 Gb/s (paper: ~24 Gb/s, stable)"),
+             "20 Gb/s < aggregate_mean < 28.5 Gb/s (paper: ~24 Gb/s, stable)",
+             quick=False),
         Gate("read_write_balance",
              lambda m: 0.6 < m["read_mean"] / m["write_mean"] < 1.67,
              "0.6 < read/write < 1.67 (paper: 'remarkably constant')"),

@@ -41,14 +41,17 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class Gate:
-    """One acceptance check on a full-size run: a named predicate over
+    """One acceptance check on a run: a named predicate over
     ``ExperimentResult.metrics``. ``claim`` states the threshold and, where
     the paper gives one, the paper's number; a failure quotes it next to
-    the measured values of every metric ``check`` read."""
+    the measured values of every metric ``check`` read. ``quick=False``
+    marks a shape the quick run's smaller workload cannot show, so only
+    full-size runs check it."""
 
     name: str
     check: Callable[[Mapping[str, float]], bool]
     claim: str
+    quick: bool = True
 
 
 class _ReadLog(dict):
@@ -68,8 +71,8 @@ class _ReadLog(dict):
 class Experiment:
     """One experiment's record: its id and label, its runner, the keyword
     arguments of its quick run, and the gates its full-size run (the
-    runner's defaults) must pass. Quick runs shrink workloads below the
-    sizes the gates' shapes need, so they are not gated."""
+    runner's defaults) must pass. A quick run checks the gates that hold
+    at its smaller size (:attr:`Gate.quick`)."""
 
     exp_id: str
     label: str
@@ -81,11 +84,18 @@ class Experiment:
         kwargs = {**self.quick, **overrides} if quick else overrides
         return self.runner(**kwargs)
 
-    def failed_gates(self, metrics: Mapping[str, float]) -> List[str]:
-        """One message per gate ``metrics`` fails, naming the gate, the
-        measured values it read and its claim."""
+    def checked_gates(self, quick: bool = False) -> Tuple[Gate, ...]:
+        """The gates a run checks: every gate at full size, the gates that
+        hold at quick size when ``quick``."""
+        return tuple(gate for gate in self.gates if gate.quick or not quick)
+
+    def failed_gates(
+        self, metrics: Mapping[str, float], quick: bool = False
+    ) -> List[str]:
+        """One message per checked gate ``metrics`` fails, naming the gate,
+        the measured values it read and its claim."""
         failures = []
-        for gate in self.gates:
+        for gate in self.checked_gates(quick):
             log = _ReadLog(metrics)
             try:
                 if gate.check(log):

@@ -351,8 +351,7 @@ class FlowEngine:
         flow.seq = self._next_seq
         self._next_seq += 1
         if nbytes == 0:
-            self.sim.schedule_callback(delay, lambda: done.succeed(flow))
-            return done
+            return done.succeed_after(delay, flow)
         if TRACE.enabled:
             flow.cap_kind = _cap_kind(tcp, rtt, cap, bool(links), self.local_rate)
             TRACE.flow_created(self.sim, flow.seq, src, dst, nbytes, flow.tags)
@@ -642,12 +641,7 @@ class FlowEngine:
         self.completed_flows += 1
         if TRACE.enabled:
             TRACE.flow_drained(self.sim, f.seq)
-        if f.one_way_delay > 0:
-            self.sim.schedule_callback(
-                f.one_way_delay, lambda f=f: f.done.succeed(f), name="flow-arrive"
-            )
-        else:
-            f.done.succeed(f)
+        f.done.succeed_after(f.one_way_delay, f)
 
     def _snapshot_tags(self, now: float) -> None:
         rates = self._slot_rate

@@ -68,9 +68,20 @@ class MessageService:
             deliver()
 
     def send(self, src: str, dst: str, payload=None, nbytes: float = 1024.0) -> Event:
-        """Deliver ``payload`` to ``dst``; event fires with the payload."""
+        """Deliver ``payload`` to ``dst``; event fires with the payload.
+
+        The event is its own delivery timer (:meth:`Event.succeed_after`):
+        one heap entry per message. A severed pair parks the message and
+        runs the same delivery at the heal.
+        """
+        self.messages_sent += 1
         evt = self.sim.event(name=f"msg:{src}->{dst}")
-        self.send_then(src, dst, lambda: evt.succeed(payload), nbytes)
+
+        def deliver() -> None:
+            evt.succeed_after(self.delivery_time(src, dst, nbytes), payload)
+
+        if not self._park_then(src, dst, deliver):
+            deliver()
         return evt
 
     def fanout(self, src: str, dsts, payload=None, nbytes: float = 1024.0) -> Event:
@@ -101,7 +112,7 @@ class MessageService:
         evt = self.sim.event(name=f"rpc:{src}<->{dst}")
 
         def deliver() -> None:
-            self.sim.schedule_callback(total, lambda: evt.succeed(None))
+            evt.succeed_after(total)
 
         if not self._park_then(src, dst, deliver):
             deliver()

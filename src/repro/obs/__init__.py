@@ -50,7 +50,12 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.registry import OBS, SCHEMA, MetricsRegistry
-from repro.obs.slo import AvailabilityObjective, LatencyObjective, SloTracker
+from repro.obs.slo import (
+    AvailabilityObjective,
+    LatencyObjective,
+    SloTracker,
+    universe_rows,
+)
 
 __all__ = [
     "Collector",
@@ -77,6 +82,7 @@ __all__ = [
     "AvailabilityObjective",
     "LatencyObjective",
     "SloTracker",
+    "universe_rows",
     "canonical_key",
     "counter_delta",
     "merge_histograms",

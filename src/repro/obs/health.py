@@ -27,7 +27,7 @@ import os
 from typing import Dict, List, Optional
 
 from repro.obs.metrics import Histogram, parse_key
-from repro.obs.slo import phase_stats
+from repro.obs.slo import phase_stats, universe_rows
 from repro.obs.export import read_jsonl, validate_snapshot_row
 
 #: Metric families the rollups read. Kept in one place so instrumentation
@@ -318,7 +318,10 @@ def render_experiment(exp: dict) -> List[str]:
 
     phases = meta.get("phases") or []
     if phases and rows:
-        stats = phase_stats(rows, phases, CLIENT_LATENCY, CLIENT_OK, CLIENT_ERR)
+        stats = phase_stats(
+            universe_rows(rows, meta["sim"]), phases,
+            CLIENT_LATENCY, CLIENT_OK, CLIENT_ERR,
+        )
         lines.append("")
         lines.append("  Phases (client reads):")
         body = []

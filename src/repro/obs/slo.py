@@ -23,6 +23,11 @@ vacuously compliant.
 
 Everything is pure arithmetic over the rows: same seed → same rows →
 bit-identical SLO report.
+
+Phases and objectives are declared on one universe's clock. A run that
+builds several simulations scrapes every universe's keys into each row,
+and each universe's clock starts at 0, so callers first narrow the rows
+to the declaring universe with :func:`universe_rows`.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.metrics import Histogram, counter_delta, merge_histograms
+from repro.obs.metrics import Histogram, counter_delta, merge_histograms, parse_key
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,24 @@ class AvailabilityObjective:
     err_metric: str
     target: float
     window: float = 5.0
+
+
+def universe_rows(rows: List[dict], sim: int) -> List[dict]:
+    """The rows universe ``sim`` scraped, each holding only the keys
+    labelled with that universe."""
+    label = str(sim)
+    out = []
+    for row in rows:
+        if row["sim"] != sim:
+            continue
+        row = dict(row)
+        for table in ("counters", "gauges", "histograms"):
+            row[table] = {
+                key: value for key, value in row.get(table, {}).items()
+                if parse_key(key)[1].get("sim") == label
+            }
+        out.append(row)
+    return out
 
 
 def _children(table: dict, family: str) -> list:

@@ -2,7 +2,8 @@
 
 The kernel is deliberately minimal but complete enough for the reproduction:
 
-* :class:`Event` — one-shot occurrence carrying a value or an exception.
+* :class:`Event` — one-shot occurrence carrying a value or an exception;
+  :meth:`Event.succeed_after` makes it its own timer.
 * :class:`Timeout` — event that fires after a delay.
 * :class:`Process` — drives a generator; each yielded event suspends the
   process until the event fires. A process is itself an event (fires when the
@@ -32,13 +33,23 @@ used; see ``tests/property/test_kernel_order.py``):
 * :meth:`Simulation.schedule_callback` pushes a :class:`_Callback` heap
   entry (no :class:`Event`, no closure).
 
+One primitive removes entries instead: :meth:`Event.succeed_after`
+triggers an event to fire after a delay, one heap entry, where a timer
+callback that then triggered the event took two. Messages and flow
+arrivals fire this way, and :class:`Timeout` is built on it. Dropping
+the callback's slot can reorder same-instant events, so what pins that
+change is the goldens and the e2e reference outputs, not the one-slot
+argument; ``tests/property/test_kernel_order.py`` checks the primitive
+against the reference kernel's own.
+
 Every :class:`Timeout` is a fresh object: nothing is recycled, so no
 kernel state depends on when the cyclic GC runs.
 
 Scheduling-boundary validation: negative and NaN delays are rejected with
 a clear error *at the call that supplied them*
-(:meth:`Simulation.timeout`, :meth:`Simulation.schedule_callback`,
-:class:`Timeout`), naming the timeout or callback — previously they
+(:meth:`Event.succeed_after`, hence :class:`Timeout` and
+:meth:`Simulation.timeout`, and :meth:`Simulation.schedule_callback`),
+naming the event or callback — previously they
 surfaced later as "time went backwards (kernel bug)" far from the
 offending caller, or, for NaN, not at all: a NaN heap key breaks the heap
 order silently. Each check is the one comparison ``not delay >= 0``,
@@ -138,6 +149,21 @@ class Event:
         self.sim._push_now(self)
         return self
 
+    def succeed_after(self, delay: float, value: Any = None) -> "Event":
+        """Trigger successfully with ``value``, firing ``delay`` seconds
+        from now: the event is its own timer, one heap entry. A negative
+        or NaN ``delay`` raises ``ValueError`` naming the event and leaves
+        it untriggered."""
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN timeout delay {delay} for {self!r}")
+        if self._triggered:
+            raise SimulationError(f"event {self!r} already triggered")
+        self._triggered = True
+        self._ok = True
+        self._value = value
+        self.sim._push(delay, NORMAL, self)
+        return self
+
     def fail(self, exception: BaseException) -> "Event":
         """Trigger with an exception; waiters have it thrown into them."""
         if self._triggered:
@@ -173,19 +199,17 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulation", delay: float, value: Any = None) -> None:
-        if not delay >= 0:
-            raise ValueError(f"negative or NaN timeout delay {delay}")
-        # Inlined Event.__init__ (hot path): a Timeout is born triggered.
+        # Inlined Event.__init__ (hot path); succeed_after checks the delay
+        # and triggers it.
         self.sim = sim
         self.name = "Timeout"
         self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._triggered = True
+        self._ok = None
+        self._triggered = False
         self._processed = False
         self._defused = False
         self.delay = delay
-        sim._push(delay, NORMAL, self)
+        self.succeed_after(delay, value)
 
 
 class _Callback:

@@ -76,7 +76,7 @@ class TestNsdServer:
         array = make_ds4100(sim, "b0")
         nsd = Nsd(0, "n", total_blocks=8, block_size=1 << 20, lun=array.luns[0])
         server = NsdServer("node0", [nsd], hba=Hba(sim))
-        evt = server.disk_io(sim, nsd, "read", 1 << 20)
+        evt = sim.process(server.disk_io(sim, nsd, "read", 1 << 20))
         sim.run(until=evt)
         assert sim.now > 0
         assert server.bytes_served == 1 << 20
@@ -85,7 +85,7 @@ class TestNsdServer:
         sim = Simulation()
         nsd = Nsd(0, "n", total_blocks=8, block_size=1024)
         server = NsdServer("node0", [nsd])
-        evt = server.disk_io(sim, nsd, "write", 1024)
+        evt = sim.process(server.disk_io(sim, nsd, "write", 1024))
         sim.run(until=evt)
         assert sim.now == 0.0
 
@@ -125,8 +125,8 @@ class TestGuardFastPath:
             svc.attach_health(NodeHealth(g.sim))
 
         def io():
-            yield svc.write_block("c0", 0, 0, 0, bs)
-            yield svc.read_blocks("c0", 0, [0, 1])
+            yield from svc.write_block("c0", 0, 0, 0, bs)
+            yield from svc.read_blocks("c0", 0, [0, 1])
 
         g.run(until=g.sim.process(io()))
         assert (svc.blocks_written, svc.blocks_read) == (1, 2)
@@ -145,7 +145,7 @@ class TestGuardFastPath:
         svc.attach_health(health)
         node = svc.server_of(0).node
         health.crash(node)
-        rpc = svc.read_block("c0", 0, 0, 0, bs)
+        rpc = g.sim.process(svc.read_block("c0", 0, 0, 0, bs))
         g.run(until=1.0)
         # No detector declares the node down, so the RPC stays parked.
         assert entered == [node]
@@ -176,7 +176,7 @@ class TestTelemetryWrappers:
 
             handle = run_io(g, create())
             svc = fs.service
-            rpc = svc.read_block("c0", 0, 0, 0, fs.block_size)
+            rpc = g.sim.process(svc.read_block("c0", 0, 0, 0, fs.block_size))
             pread = reader.pread(handle, 0, fs.block_size)  # waits for a token
             g.run(until=g.sim.now)
             assert svc.inflight == 1
@@ -189,3 +189,46 @@ class TestTelemetryWrappers:
             OBS.reset()
         assert svc.inflight == 0
         assert not [key for key in counters if "errors" in key]
+
+
+class TestKernelEntriesPerBlock:
+    """Kernel entries (``sim._seq``) a streamed block costs, as a ceiling.
+
+    A block RPC is a control message, a data flow, a SAN stage and an ack.
+    The RPC and its SAN stage run inside the waiting run process, and a
+    message or flow arrival fires from its own delivery timer, so a block
+    costs about 7 entries on either path; 9 leaves room for per-op work
+    (open, tokens, close) without letting a spawned hop back in.
+    """
+
+    BLOCKS = 64
+    CEILING = 9
+
+    def test_streamed_write_and_peer_read(self):
+        from tests.core.testbed import mounted, run_io, small_gfs
+
+        g, cluster, fs, _ = small_gfs(nsd_servers=4, store_data=False)
+        writer = mounted(g, cluster, node="c0")
+        reader = mounted(g, cluster, node="c1")
+        nbytes = self.BLOCKS * fs.block_size
+
+        def write():
+            h = yield writer.open("/f", "w", create=True)
+            yield writer.write(h, nbytes)
+            yield writer.close(h)
+
+        def read():
+            h = yield reader.open("/f", "r")
+            got = yield reader.read(h, nbytes)
+            yield reader.close(h)
+            return got
+
+        s0 = g.sim._seq
+        run_io(g, write())
+        s1 = g.sim._seq
+        assert len(run_io(g, read())) == nbytes
+        s2 = g.sim._seq
+        svc = fs.service
+        assert (svc.blocks_written, svc.blocks_read) == (self.BLOCKS, self.BLOCKS)
+        assert (s1 - s0) / self.BLOCKS <= self.CEILING
+        assert (s2 - s1) / self.BLOCKS <= self.CEILING

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.experiments.harness import Experiment, Gate
+from repro.experiments.harness import Gate
 from repro.experiments.report import _registry, experiments, main, run_trace
 from repro.obs.export import validate_profile_snapshot
 from repro.util.units import Gbps
@@ -68,13 +68,45 @@ class TestGates:
         assert "E8 parallel_streams_at_80ms: rate_rtt80_s64 = " in line
         assert "expected > 99 Gb/s (paper: line rate at 80 ms)" in line
 
-    def test_quick_run_evaluates_no_gate(self, capsys, monkeypatch):
-        def refuse(self, metrics):
-            raise AssertionError("quick runs are not gated")
+    def test_quick_run_checks_only_quick_gates(self, capsys, monkeypatch):
+        import repro.experiments.ablations as ablations
+        import repro.experiments.e8_latency as e8
 
-        monkeypatch.setattr(Experiment, "failed_gates", refuse)
-        assert main(["--quick", "--only", "A3"]) == 0
-        assert "gates:" not in capsys.readouterr().out
+        def refuse(metrics):
+            raise AssertionError("a full-size-only gate ran at quick size")
+
+        for module, name in ((e8, "E8"), (ablations, "A6")):
+            exp = getattr(module, name)
+            gates = tuple(
+                gate if gate.quick else dataclasses.replace(gate, check=refuse)
+                for gate in exp.gates
+            )
+            monkeypatch.setattr(module, name, dataclasses.replace(exp, gates=gates))
+        assert main(["--quick"] + self.ONLY) == 0
+        out = capsys.readouterr().out
+        # A3 holds all four gates at quick size; E8 and A6 one fewer each.
+        assert out.count("gates: 4/4 passed") == 1
+        assert out.count("gates: 3/3 passed") == 2
+
+    def test_planted_quick_gate_failure_fails_quick_run(
+        self, capsys, monkeypatch
+    ):
+        import repro.experiments.ablations as ablations
+
+        impossible = Gate(
+            "single_64k", lambda m: m["single_64k"] > Gbps(99), "> 99 Gb/s"
+        )
+        gates = tuple(
+            impossible if gate.name == impossible.name else gate
+            for gate in ablations.A3.gates
+        )
+        monkeypatch.setattr(
+            ablations, "A3", dataclasses.replace(ablations.A3, gates=gates)
+        )
+        assert main(["--quick", "--only", "A3"]) == 1
+        captured = capsys.readouterr()
+        assert "gates: 3/4 passed" in captured.out
+        assert "1 gate(s) failed" in captured.err
 
     def test_missing_metric_fails_its_gate(self):
         failures = experiments()["A6"].failed_gates({"single_0": 1.0})

@@ -164,10 +164,10 @@ def test_multi_block_rpc_verify_counts_match_per_block():
     nsd_id = min(fs.nsds)
 
     def io():
-        yield service.write_blocks(
+        yield from service.write_blocks(
             "writer", nsd_id, [(p, 0, bytes([p]) * int(bs)) for p in range(6)]
         )
-        datas = yield service.read_blocks(
+        datas = yield from service.read_blocks(
             "writer", nsd_id, range(6), verify=True
         )
         assert [d[:1] for d in datas] == [bytes([p]) for p in range(6)]

@@ -13,7 +13,7 @@ from repro.obs.health import (
     server_rollup,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.obs.slo import AvailabilityObjective, SloTracker
+from repro.obs.slo import AvailabilityObjective, SloTracker, universe_rows
 from repro.sim.kernel import Simulation
 
 
@@ -44,7 +44,8 @@ def export_fleet(tmp_path, exp_id="E13") -> str:
         {"name": "recovered", "t0": 1.0, "t1": 2.0},
     ]
     export_metrics_dir(
-        reg, str(tmp_path), exp_id, meta={"phases": phases, "slo": slo}
+        reg, str(tmp_path), exp_id,
+        meta={"sim": reg.rows[0]["sim"], "phases": phases, "slo": slo},
     )
     return str(tmp_path)
 
@@ -142,6 +143,38 @@ class TestReport:
         html = render_html(d)
         assert html.startswith("<!doctype html>")
         assert "zero_failed_reads" in html
+
+    def test_phases_and_slos_read_only_the_declaring_universe(self, tmp_path):
+        # E15's shape: sweep universes scrape first, then the universe the
+        # phases are declared on. Its clock restarts at 0, and every row
+        # holds every universe's keys.
+        reg = MetricsRegistry()
+        sweep, chaos = Simulation(), Simulation()
+        for sim, reads in ((sweep, 100), (chaos, 3)):
+            for t in (0.0, 1.0, 2.0):
+                sim._now = t
+                for _ in range(reads if t else 0):
+                    reg.observe(sim, "client.read.latency", 0.01, client="c0")
+                    reg.inc(sim, "client.read.ok", client="c0")
+                reg.scrape(sim)
+        [slo] = SloTracker().add(AvailabilityObjective(
+            name="zero_failed_reads", ok_metric="client.read.ok",
+            err_metric="client.read.errors", target=1.0, window=1.0,
+        )).evaluate(universe_rows(reg.rows, chaos.id))
+        assert slo["events"] == 6
+        phases = [
+            {"name": "nominal", "t0": 0.0, "t1": 1.0},
+            {"name": "healed", "t0": 1.0, "t1": 2.0},
+        ]
+        export_metrics_dir(
+            reg, str(tmp_path), "E15",
+            meta={"sim": chaos.id, "phases": phases, "slo": [slo]},
+        )
+        text = render_report(str(tmp_path))
+        table = text[text.index("Phases (client reads):"):].splitlines()
+        assert [line.split()[:3] for line in table[3:5]] == [
+            ["nominal", "0.00-1.00s", "3"], ["healed", "1.00-2.00s", "3"],
+        ]
 
     def test_missing_dir_message(self, tmp_path):
         assert "no metrics found" in render_report(str(tmp_path))

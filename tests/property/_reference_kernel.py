@@ -101,6 +101,18 @@ class Event:
         self.sim._enqueue(self, delay=0.0, priority=NORMAL)
         return self
 
+    def succeed_after(self, delay: float, value: Any = None) -> "Event":
+        """Trigger successfully with ``value``, firing ``delay`` seconds from now."""
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN timeout delay {delay} for {self!r}")
+        if self._triggered:
+            raise SimulationError(f"event {self!r} already triggered")
+        self._triggered = True
+        self._ok = True
+        self._value = value
+        self.sim._enqueue(self, delay=delay, priority=NORMAL)
+        return self
+
     def fail(self, exception: BaseException) -> "Event":
         """Trigger with an exception; waiters have it thrown into them."""
         if self._triggered:

@@ -6,10 +6,11 @@ zero-delay FIFO lane, lightweight callback entries — see ARCHITECTURE.md
 plain single-heap kernel. This suite checks the argument empirically:
 ``_reference_kernel.py`` is a frozen copy of the pre-optimization kernel,
 and both kernels replay the same randomized process/timeout/AllOf/AnyOf/
-interrupt graph. The recorded traces — every op completion with its
-simulated timestamp, plus final clock and total event count — must match
-exactly. Any divergence is a determinism regression, not a tolerance
-question, so comparisons are ``==`` on full traces.
+delayed-trigger/interrupt graph. The recorded traces — every op
+completion with its simulated timestamp, plus final clock and total
+event count — must match exactly. Any divergence is a determinism
+regression, not a tolerance question, so comparisons are ``==`` on full
+traces.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ op_st = st.one_of(
     st.tuples(st.just("allof"), st.lists(delay_st, min_size=1, max_size=3)),
     st.tuples(st.just("anyof"), st.lists(delay_st, min_size=1, max_size=3)),
     st.tuples(st.just("callback"), delay_st),
+    st.tuples(st.just("fire_after"), delay_st),
     st.tuples(st.just("interrupt"), st.integers(0, 7)),
 )
 
@@ -84,6 +86,10 @@ def run_scenario(kernel, procs, trigger_delays):
                         lambda p=pid, k=j: trace.append((sim.now, "cb", p, k)),
                         name=f"cb{pid}.{j}",
                     )
+                elif kind == "fire_after":
+                    evt = sim.event(name=f"fa{pid}.{j}")
+                    got = yield evt.succeed_after(arg, (pid, j))
+                    trace.append((sim.now, "fired", pid, j, got))
                 elif kind == "interrupt":
                     yield sim.timeout(0.0)
                     target = handles[arg % len(handles)]

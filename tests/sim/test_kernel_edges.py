@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim import Interrupt, Simulation, Store
+from repro.sim import Interrupt, Simulation, SimulationError, Store
 
 
 class TestLateFailures:
@@ -141,6 +141,33 @@ class TestSchedulingBoundary:
         with pytest.raises(ValueError, match="negative or NaN timeout delay nan"):
             sim.run()
         assert fired == []
+
+    @pytest.mark.parametrize("delay", [-1.0, math.nan])
+    def test_succeed_after_bad_delay_names_event(self, delay):
+        sim = Simulation()
+        evt = sim.event(name="ack:s0->c0")
+        with pytest.raises(ValueError, match=r"negative or NaN.*ack:s0->c0"):
+            evt.succeed_after(delay)
+        assert not evt.triggered
+        evt.succeed_after(0.5, "late")  # still usable, fires once
+        sim.run()
+        assert (evt.value, sim.now) == ("late", 0.5)
+
+    def test_succeed_after_fires_at_delay_with_value(self):
+        sim = Simulation()
+        seen = []
+
+        def waiter(evt):
+            seen.append((yield evt))
+            seen.append(sim.now)
+
+        evt = sim.event()
+        sim.process(waiter(evt))
+        evt.succeed_after(2.0, "v")
+        with pytest.raises(SimulationError, match="already triggered"):
+            evt.succeed_after(1.0)
+        sim.run()
+        assert seen == ["v", 2.0]
 
     def test_run_until_nan_rejected(self):
         # run(until=nan) used to pass the past-horizon check and leave
