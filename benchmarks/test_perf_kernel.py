@@ -218,7 +218,7 @@ def run_gateway_hit_path(
 
     def warm():
         for b in range(blocks):
-            yield gw.read_block("c0", inode, b, placed[b])
+            yield from gw.read_block("c0", inode, b, placed[b])
 
     g.run(until=g.sim.process(warm()))
     assert gw.cache.misses == blocks
@@ -228,7 +228,7 @@ def run_gateway_hit_path(
     def reread(node):
         for _ in range(iters):
             for b in range(blocks):
-                yield gw.read_block(node, inode, b, placed[b])
+                yield from gw.read_block(node, inode, b, placed[b])
 
     for node in client_names:
         g.sim.process(reread(node))

@@ -24,10 +24,11 @@ with :class:`GatewayMount`; the data path then looks like:
   inode enqueued before it has reached home — close-to-open coherence
   and revoke semantics survive the asynchrony.
 
-Every read, hit or miss, is one callback chain
-(:meth:`CacheGateway.read_block`) whether the flight recorder is on, a
-partition is armed, or the lease lapsed in flight: tracing records a
-run, it never reroutes one.
+Every read, hit or miss, and every write is one generator
+(:meth:`CacheGateway.read_block`, :meth:`CacheGateway.write_block`)
+that runs inside the caller's process, whether the flight recorder is
+on, a partition is armed, or the lease lapsed in flight: tracing records
+a run, it never reroutes one.
 
 Partition semantics: a WAN cut parks the gateway's fetches, lease
 renewals, and flusher RPCs (nothing fails); reads inside a live lease
@@ -247,77 +248,42 @@ class CacheGateway:
 
     def read_block(
         self, client: str, inode, block_index: int, placed, tags: tuple = ()
-    ) -> Event:
-        """Serve one block to a local client; event value is the data.
+    ):
+        """Serve one block to a local client (``yield from``); returns
+        the data.
 
-        One callback chain for every read: control message → lease check
-        → cache lookup → gateway disk → LAN transfer back. The lease is
-        checked at the instant the control message lands; a lapsed one
-        is renewed by the shared :meth:`_ensure_lease` round trip before
-        the lookup. Hits ride :meth:`Pipe.fast_transfer` when the gateway
-        disk is idle; misses join the shared batched fetch. A hit served
-        while the WAN is cut counts as a stale hit.
+        Every read runs this one path inside the caller's process:
+        control message → lease check → cache lookup → gateway disk on a
+        hit, or the shared batched fetch on a miss → LAN transfer back.
+        The lease is checked when the control message lands; a lapsed
+        one is renewed by the shared :meth:`_ensure_lease` round trip
+        before the lookup. A hit served while the WAN is cut counts as a
+        stale hit.
         """
         ino = inode.ino
         bs = self.fs.block_size
         gw = self.node_for(ino, block_index)
-        sim = self.sim
-        t0 = sim.now
-        done = sim.event(name=f"gwread:{ino}:{block_index}")
-
-        def lan_leg(on_done) -> None:
-            evt = self.engine.transfer(
-                gw, client, bs, tags=tuple(tags) + self.tags,
-                **self.service._pair_kwargs(gw, client),
-            )
-            evt.callbacks.append(on_done)
-
-        def miss_fetched(evt) -> None:
-            if not evt.ok:
-                done.fail(evt.value)
-                return
-            data = evt.value
-            lan_leg(lambda _e: (self._served_miss(bs, t0), done.succeed(data)))
-
-        def lookup() -> None:
-            entry = self.cache.lookup(ino, block_index)
-            if entry is None:
-                self._fetch(gw, inode, block_index, placed).callbacks.append(
-                    miss_fetched
-                )
-                return
+        t0 = self.sim.now
+        # control leg: client → gateway node (site-local)
+        yield self.messages.send(client, gw, nbytes=CONTROL_BYTES)
+        yield from self._ensure_lease(gw, ino)
+        entry = self.cache.lookup(ino, block_index)
+        if entry is None:
+            data = yield self._fetch(gw, inode, block_index, placed)
+        else:
             if self._wan_cut(gw):
                 self.stale_hits += 1  # stale-within-lease service
             data = entry.data if self.fs.store_data else None
-
-            def hit_disk_done() -> None:
-                lan_leg(
-                    lambda _e: (self._served_hit(ino, bs, t0),
-                                done.succeed(data))
-                )
-
-            disk = self.disks[gw]
-            if not disk.fast_transfer(bs, hit_disk_done):
-                disk.transfer(bs).callbacks.append(lambda _e: hit_disk_done())
-
-        def lease_renewed(evt) -> None:
-            if evt.ok:
-                lookup()
-            else:
-                done.fail(evt.value)
-
-        def arrived() -> None:
-            lease = self._lease.get(ino)
-            if lease is None or lease.expires_at <= sim.now:
-                sim.process(
-                    self._ensure_lease(gw, ino), name=f"gwlease:{ino}"
-                ).callbacks.append(lease_renewed)
-                return
-            lookup()
-
-        # control leg: client → gateway node (site-local)
-        self.messages.send_then(client, gw, arrived, nbytes=CONTROL_BYTES)
-        return done
+            yield self.disks[gw].transfer(bs)
+        yield self.engine.transfer(
+            gw, client, bs, tags=tuple(tags) + self.tags,
+            **self.service._pair_kwargs(gw, client),
+        )
+        if entry is None:
+            self._served_miss(bs, t0)
+        else:
+            self._served_hit(ino, bs, t0)
+        return data
 
     def _served_hit(self, ino, bs, t0) -> None:
         self.served_bytes += bs
@@ -407,15 +373,9 @@ class CacheGateway:
 
     def write_block(
         self, client, inode, block, nsd_id, phys, lo, payload, tags: tuple = ()
-    ) -> Event:
-        """Accept one block write from a local client (mode decides when
-        it is acked); event fires at the ack."""
-        return self.sim.process(
-            self._write(client, inode, block, nsd_id, phys, lo, payload, tags),
-            name=f"gwwrite:{inode.ino}:{block}",
-        )
-
-    def _write(self, client, inode, block, nsd_id, phys, lo, payload, tags):
+    ):
+        """Accept one block write from a local client (``yield from``);
+        returns at the ack, whose timing the mode decides."""
         ino = inode.ino
         gw = self.node_for(ino, block)
         length = payload if isinstance(payload, int) else len(payload)
@@ -647,7 +607,7 @@ class GatewayMount(MountedFs):
     def _read_run(self, inode, run):
         # Runs here are one block (max_coalesce stays 1).
         return [(
-            yield self.gateway.read_block(
+            yield from self.gateway.read_block(
                 self.node, inode, run.blocks[0], (run.nsd_id, run.phys[0]),
                 tags=self.tags + ("read",),
             )
@@ -655,11 +615,9 @@ class GatewayMount(MountedFs):
 
     def _write_run(self, inode, run, extents):
         ((phys, lo, payload),) = extents
-        return (
-            yield self.gateway.write_block(
-                self.node, inode, run.blocks[0], run.nsd_id, phys, lo, payload,
-                tags=self.tags + ("write",),
-            )
+        return self.gateway.write_block(
+            self.node, inode, run.blocks[0], run.nsd_id, phys, lo, payload,
+            tags=self.tags + ("write",),
         )
 
     def _fsync(self, ino: int):

@@ -161,19 +161,44 @@ class ReplicaManager:
         client_node: str,
         placements: Sequence[Placement],
         tags: Tuple[str, ...] = (),
-    ) -> Event:
-        """Read one full block from the cheapest live replica.
+    ):
+        """Read one full block from the cheapest live replica (``yield
+        from`` it in a process); returns the block's bytes.
 
-        The event's value is the block's bytes. Replicas are tried in
-        cost order (primary first, suspects last); a
-        :class:`~repro.core.nsd.ChecksumError` or server loss fails over
-        to the next replica. Detected rot triggers background
-        read-repair using the verified data already in hand.
+        Replicas are tried in cost order (primary first, suspects last);
+        a :class:`~repro.core.nsd.ChecksumError` or server loss fails
+        over to the next replica. Detected rot triggers background
+        read-repair using the verified data already in hand. Raises
+        :class:`AllReplicasFailed` when no replica serves the block.
         """
-        return self.sim.process(
-            self._read(client_node, list(placements), tuple(tags)),
-            name="replica-read",
-        )
+        bs = self.fs.block_size
+        tags = tuple(tags)
+        bad: List[Placement] = []
+        last: BaseException | None = None
+        attempts = 0
+        for nsd_id, phys in self._read_order(list(placements)):
+            attempts += 1
+            try:
+                data = yield from self.fs.service.read_block(
+                    client_node, nsd_id, phys, 0, bs,
+                    tags=tags, verify=self.policy.verify_reads,
+                )
+            except ChecksumError as exc:
+                self.corrupt_reads_detected += 1
+                bad.append((nsd_id, phys))
+                last = exc
+                continue
+            except ConnectionError as exc:
+                last = exc
+                continue
+            if attempts > 1:
+                self.degraded_reads += 1
+            for victim in bad:
+                self._start_repair(client_node, victim, data, tags, "read_repair")
+            return data
+        raise AllReplicasFailed(
+            f"all {len(placements)} replicas failed verification or transport"
+        ) from last
 
     def _read_order(self, placements: List[Placement]) -> List[Placement]:
         """Cheapest-first replica ordering (stable, hence deterministic).
@@ -205,35 +230,6 @@ class ReplicaManager:
 
         ranked = sorted(enumerate(placements), key=cost)
         return [placement for _, placement in ranked]
-
-    def _read(self, client_node, placements, tags):
-        bs = self.fs.block_size
-        bad: List[Placement] = []
-        last: BaseException | None = None
-        attempts = 0
-        for nsd_id, phys in self._read_order(placements):
-            attempts += 1
-            try:
-                data = yield from self.fs.service.read_block(
-                    client_node, nsd_id, phys, 0, bs,
-                    tags=tags, verify=self.policy.verify_reads,
-                )
-            except ChecksumError as exc:
-                self.corrupt_reads_detected += 1
-                bad.append((nsd_id, phys))
-                last = exc
-                continue
-            except ConnectionError as exc:
-                last = exc
-                continue
-            if attempts > 1:
-                self.degraded_reads += 1
-            for victim in bad:
-                self._start_repair(client_node, victim, data, tags, "read_repair")
-            return data
-        raise AllReplicasFailed(
-            f"all {len(placements)} replicas failed verification or transport"
-        ) from last
 
     # -- repair ---------------------------------------------------------------
 
@@ -308,12 +304,12 @@ def read_run(fs, node: str, ino: int, block: int, nsd_id: int, phys, tags):
     block ``block`` of inode ``ino`` is the first of them. Returns the
     blocks' bytes in run order. A replicated filesystem reads its
     one-block runs through the :class:`ReplicaManager`; any other runs
-    one NSD RPC inside the caller's process. ``yield from`` adds no
-    events.
+    one NSD RPC. Either runs inside the caller's process: ``yield from``
+    adds no events.
     """
     if fs.replication.active:
         placements = fs.replica_placements(fs.inodes.get(ino), block)
-        return [(yield fs.integrity.read_block(node, placements, tags=tags))]
+        return [(yield from fs.integrity.read_block(node, placements, tags=tags))]
     return (yield from fs.service.read_blocks(node, nsd_id, phys, tags=tags))
 
 

@@ -161,7 +161,7 @@ def main(argv=None) -> int:
         checked = len(exp.checked_gates(args.quick))
         failed = exp.failed_gates(result.metrics, args.quick)
         gate_failures += failed
-        section += f"\ngates: {checked - len(failed)}/{checked} passed"
+        section += "\n" + _gate_tally(checked, len(failed), len(exp.gates))
         section += "".join(f"\n  FAILED {msg}" for msg in failed)
         section += f"\n({elapsed:.1f}s wall)"
         if args.profile:
@@ -185,6 +185,17 @@ def main(argv=None) -> int:
             print(f"  {msg}", file=sys.stderr)
         return 1
     return 0
+
+
+def _gate_tally(checked: int, failed: int, declared: int) -> str:
+    """A section's ``gates:`` line. It counts the gates left for full
+    size, and a section that checked none says so instead of passing."""
+    tally = (f"gates: {checked - failed}/{checked} passed" if checked
+             else "gates: none at quick size")
+    skipped = declared - checked
+    if skipped:
+        tally += f" ({skipped} {'needs' if skipped == 1 else 'need'} full size)"
+    return tally
 
 
 def _profile_table(snap: dict) -> str:

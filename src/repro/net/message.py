@@ -5,10 +5,14 @@ fluid bandwidth solver; a message takes one-way propagation delay plus
 serialization at the path bottleneck. This keeps GPFS token/metadata chatter
 cheap to simulate while still charging WAN latency where the paper's
 multi-cluster protocol pays it (mount handshakes, lock revocations).
+
+Every message is an event that its receiver waits on:
+:meth:`~MessageService.send`, :meth:`~MessageService.fanout` and
+:meth:`~MessageService.round_trip` each return one, fired by its own
+delivery timer (one heap entry per delivery).
 """
 
 from __future__ import annotations
-
 
 from repro.net.topology import Network
 from repro.sim.kernel import Event, Simulation
@@ -50,22 +54,6 @@ class MessageService:
         delay = self.network.one_way_delay(src, dst)
         bottleneck = self.network.bottleneck_rate(src, dst)
         return delay + nbytes / bottleneck
-
-    def send_then(self, src: str, dst: str, fn, nbytes: float = 1024.0) -> None:
-        """Send one message and run ``fn()`` at the instant it lands.
-
-        The callback form of :meth:`send`: one heap entry at delivery and
-        no :class:`Event`, for callers that chain on callbacks instead of
-        yielding. A severed pair parks the message until the heal, as
-        for :meth:`send`.
-        """
-        self.messages_sent += 1
-
-        def deliver() -> None:
-            self.sim.schedule_callback(self.delivery_time(src, dst, nbytes), fn)
-
-        if not self._park_then(src, dst, deliver):
-            deliver()
 
     def send(self, src: str, dst: str, payload=None, nbytes: float = 1024.0) -> Event:
         """Deliver ``payload`` to ``dst``; event fires with the payload.

@@ -9,7 +9,7 @@ entire run.
 Telemetry must not perturb scheduling: the collector only *reads*
 subsystem state (stored metrics and callbacks). Its timeouts consume
 sequence numbers, but the kernel's determinism contract orders same-time
-events by ``(priority, seq)`` relative order, which is unchanged for all
+events by relative ``seq`` order, which is unchanged for all
 non-collector events; golden-metrics tests pin this.
 """
 

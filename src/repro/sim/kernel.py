@@ -11,17 +11,15 @@ The kernel is deliberately minimal but complete enough for the reproduction:
 * :class:`AllOf` / :class:`AnyOf` — barrier / race combinators.
 * :class:`Simulation` — the clock and the heap.
 
-Determinism: events scheduled at equal times fire in (priority, scheduling
-order). There is no wall-clock anywhere.
+Determinism: events scheduled at equal times fire in scheduling order.
+There is no wall-clock anywhere.
 
 Fast paths (all provably order-identical to the straightforward
 implementation — every heap entry still consumes exactly one ``(time,
-priority, seq)`` slot at exactly the position the slow path would have
-used; see ``tests/property/test_kernel_order.py``):
+seq)`` slot at exactly the position the slow path would have used; see
+``tests/property/test_kernel_order.py``):
 
-* heap entries are ``(time, (priority << 62) | seq, item)`` — one packed
-  sort key instead of a 4-tuple;
-* zero-delay NORMAL entries (event triggers, process resumes — the bulk of
+* zero-delay entries (event triggers, process resumes — the bulk of
   all traffic) bypass the heap through a FIFO lane: a deque entry keyed
   identically to its would-be heap entry, drained strictly before any heap
   entry that sorts after it, so the merged pop order is exactly the heap
@@ -63,15 +61,6 @@ from collections import deque
 from heapq import heappop, heappush
 from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable, Optional
-
-#: Priority for ordinary events.
-NORMAL = 1
-#: Priority for "urgent" bookkeeping events that must precede normal ones
-#: scheduled at the same instant (used by resource releases).
-URGENT = 0
-
-#: NORMAL priority pre-shifted into the packed heap key.
-_NB = NORMAL << 62
 
 
 class SimulationError(RuntimeError):
@@ -161,7 +150,7 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        self.sim._push(delay, NORMAL, self)
+        self.sim._push(delay, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -237,8 +226,8 @@ class _Resume:
     """Heap entry that resumes one process directly (relay-event fast path).
 
     Replaces the ``relay = Event(...); relay.succeed(target.value)`` dance
-    for targets that already fired: it occupies the exact ``(time,
-    priority, seq)`` slot the relay would have, so global ordering is
+    for targets that already fired: it occupies the exact ``(time, seq)``
+    slot the relay would have, so global ordering is
     unchanged, but skips the Event allocation, the callbacks list, and the
     triggered/processed bookkeeping. Cancellation (interrupt delivered
     first) is detected by the process having moved on: ``proc._target is
@@ -426,9 +415,9 @@ class Process(Event):
 class Simulation:
     """The event loop: a clock plus a heap of pending events.
 
-    Two scheduling lanes, one logical order. Every entry conceptually
-    carries the key ``(time, priority, seq)``; zero-delay NORMAL entries
-    (the bulk: triggers, resumes, sequencers) are appended to ``_fifo``,
+    Two scheduling lanes, one logical order. Every entry carries the key
+    ``(time, seq)``; zero-delay entries (the bulk: triggers, resumes,
+    sequencers) are appended to ``_fifo``,
     everything else is heap-pushed. Because delays are validated
     non-negative, a FIFO entry's time always equals the current clock, so
     the FIFO holds a contiguous ascending-seq run at ``now`` and the merged
@@ -477,19 +466,19 @@ class Simulation:
     # -- scheduling --------------------------------------------------------
 
     def _push_now(self, item: Any) -> None:
-        """Zero-delay NORMAL push: straight to the FIFO lane."""
+        """Zero-delay push: straight to the FIFO lane."""
         seq = self._seq
         self._seq = seq + 1
-        self._fifo.append((self._now, _NB | seq, item))
+        self._fifo.append((self._now, seq, item))
 
-    def _push(self, delay: float, priority: int, item: Any) -> None:
+    def _push(self, delay: float, item: Any) -> None:
         """Internal unvalidated push: callers guarantee ``delay >= 0``."""
         seq = self._seq
         self._seq = seq + 1
-        if delay == 0.0 and priority == NORMAL:
-            self._fifo.append((self._now, _NB | seq, item))
+        if delay == 0.0:
+            self._fifo.append((self._now, seq, item))
         else:
-            heappush(self._heap, (self._now + delay, (priority << 62) | seq, item))
+            heappush(self._heap, (self._now + delay, seq, item))
 
     def schedule_callback(self, delay: float, fn: Callable[[], None], name: str = "") -> _Callback:
         """Run ``fn`` after ``delay`` seconds (bookkeeping helper).
@@ -502,7 +491,7 @@ class Simulation:
                 f"negative or NaN delay {delay!r} scheduling callback {name or fn!r}"
             )
         entry = _Callback(fn, name=name)
-        self._push(delay, NORMAL, entry)
+        self._push(delay, entry)
         return entry
 
     def _pop(self) -> Any:

@@ -7,20 +7,18 @@ latency and bottleneck-limited throughput, which is exactly the
 balanced-configuration arithmetic the paper applies to its NSD servers
 (GbE in, FC out, controller behind).
 
-It is also the only code that queues, serves and traces a stage IO: a
-:class:`~repro.storage.disk.Disk` IO and an aggregate
-:class:`~repro.storage.raid.RaidSet` IO are :meth:`Pipe.transfer` calls
-(the seek as ``extra_latency``), and every IO records a ``wait`` and a
-``service`` span on the ``pipe:<name>`` lane under tracing, whether it
-took the process path or :meth:`Pipe.fast_transfer`.
+It is also the only code that queues, serves and traces a stage IO, in
+one routine that spawns no process: a :class:`~repro.storage.disk.Disk`
+IO and an aggregate :class:`~repro.storage.raid.RaidSet` IO are
+:meth:`Pipe.transfer` calls (the seek as ``extra_latency``), and every
+IO records a ``wait`` and a ``service`` span on the ``pipe:<name>`` lane
+under tracing.
 """
 
 from __future__ import annotations
 
-from typing import Generator
-
 from repro.sim.kernel import Event, Simulation
-from repro.sim.resources import Request, Resource
+from repro.sim.resources import Resource
 from repro.sim.trace import TRACE
 
 
@@ -55,78 +53,43 @@ class Pipe:
         """Queue ``nbytes`` through the stage; fires when served.
 
         ``extra_latency`` is added to this IO's service time once the
-        slot is granted (a disk's seek on random access).
+        slot is granted (a disk's seek on random access). The slot is
+        requested at the call, so IOs hold it in call order; the grant
+        starts one service timer, and the timer releases the slot and
+        fires the returned event. No process is spawned.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        return self.sim.process(
-            self._serve(nbytes, extra_latency), name=f"{self.name}-xfer"
-        )
-
-    def _serve(
-        self, nbytes: float, extra_latency: float
-    ) -> Generator[Event, None, None]:
+        sim = self.sim
+        res = self._res
+        done = Event(sim, name=f"{self.name}-xfer")
+        req = res.request()
         # One enabled-check per IO; queue wait and service become separate
         # spans so traces show where a stage's latency actually went.
         tr = TRACE if TRACE.enabled else None
-        lane = f"pipe:{self.name}"
-        with self._res.request() as req:
-            wid = tr.begin(self.sim, "wait", cat="storage.queue", lane=lane,
-                           bytes=nbytes) if tr else 0
-            yield req
-            if wid:
-                tr.end(self.sim, wid)
-            sid = tr.begin(self.sim, "service", cat="storage.service",
-                           lane=lane, bytes=nbytes) if tr else 0
-            yield self.sim.timeout(extra_latency + self.service_time(nbytes))
-            if sid:
-                tr.end(self.sim, sid)
-        self.bytes_served += nbytes
-        self.ios_served += 1
-
-    def fast_transfer(self, nbytes: float, callback) -> bool:
-        """Serve ``nbytes`` through an *idle* stage without a process.
-
-        When a slot is free and nobody is queued, the slot is taken
-        synchronously (no grant event) and ``callback()`` runs after the
-        service time — one kernel event instead of the process + request +
-        timeout chain of :meth:`transfer`. Service completes at exactly
-        the sim time the slow path would have used, contenders arriving
-        meanwhile queue behind the held slot as usual, and under tracing
-        the IO records the spans :meth:`transfer` records for an idle
-        stage (a zero-length wait, then the service). Returns False
-        (doing nothing) when the stage is busy — the caller must fall
-        back to :meth:`transfer`.
-        """
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        res = self._res
-        if res.queue or len(res.users) >= res.capacity:
-            return False
-        # Untriggered Request: valid for release(), never enters the heap.
-        req = Request(res)
-        res.users.append(req)
-        sim = self.sim
+        lane = f"pipe:{self.name}" if tr else ""
+        wid = tr.begin(sim, "wait", cat="storage.queue", lane=lane,
+                       bytes=nbytes) if tr else 0
         sid = 0
-        if TRACE.enabled:
-            lane = f"pipe:{self.name}"
-            TRACE.end(sim, TRACE.begin(sim, "wait", cat="storage.queue",
-                                       lane=lane, bytes=nbytes))
-            sid = TRACE.begin(sim, "service", cat="storage.service",
-                              lane=lane, bytes=nbytes)
 
-        def _served() -> None:
-            if sid:
-                TRACE.end(sim, sid)
+        def served() -> None:
+            if tr:
+                tr.end(sim, sid)
+            res.release(req)
             self.bytes_served += nbytes
             self.ios_served += 1
-            res.release(req)
-            callback()
+            done.succeed()
 
-        sim.schedule_callback(
-            self.service_time(nbytes), _served, name=f"{self.name}-fastxfer"
-        )
-        return True
+        def granted(_req: Event) -> None:
+            nonlocal sid
+            if tr:
+                tr.end(sim, wid)
+                sid = tr.begin(sim, "service", cat="storage.service",
+                               lane=lane, bytes=nbytes)
+            sim.schedule_callback(extra_latency + self.service_time(nbytes), served)
+
+        req.callbacks.append(granted)
+        return done
 
     @property
     def queue_depth(self) -> int:

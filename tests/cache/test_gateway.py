@@ -9,6 +9,7 @@ import pytest
 
 from repro.cache import CacheGateway, GatewayBlockCache, GatewayMount
 from repro.core.multicluster import MountAuthError
+from repro.core.nsd import NsdServerDown
 from repro.core.replication import ReplicationPolicy
 from repro.core.tokens import RW
 from repro.faults.partition import PartitionState
@@ -147,6 +148,33 @@ class TestReadPath:
         assert datas == [payload, payload]
         assert gw.origin_bytes == fs.block_size  # one WAN fetch, two readers
 
+    def test_failed_fetch_fails_every_waiter_and_clears(self):
+        g, sdsc, ncsa, fs, gw = gateway_gfs()
+        payload = patterned(fs.block_size)
+        home_write(g, sdsc, "/shared", payload)
+        inode = fs.namespace.resolve("/shared")
+        placed = fs.lookup_block(inode, 0)
+        servers = {server.node for server in fs.service.servers.values()}
+        for node in servers:
+            fs.service.mark_down(node)
+
+        def read():
+            try:
+                yield from gw.read_block("n0", inode, 0, placed)
+            except NsdServerDown as exc:
+                return exc
+
+        readers = [g.sim.process(read()) for _ in range(2)]
+        g.run(until=g.sim.all_of(readers))
+        first, second = (reader.value for reader in readers)
+        assert isinstance(first, NsdServerDown)
+        assert second is first  # both waited on the one failed fetch
+        assert gw._fetching == {} and gw.origin_bytes == 0
+        for node in servers:
+            fs.service.mark_up(node)
+        assert run_io(g, gw.read_block("n0", inode, 0, placed)) == payload
+        assert gw.origin_bytes == fs.block_size
+
 
 class TestWritePath:
     def test_writeback_close_is_durable_at_home(self):
@@ -202,7 +230,7 @@ class TestWritePath:
         new_payload = patterned(fs.block_size, seed=14)
 
         def io():
-            yield gw.write_block("n0", inode, 0, nsd_id, phys, 0, new_payload)
+            yield from gw.write_block("n0", inode, 0, nsd_id, phys, 0, new_payload)
             # Ack arrived; the WAN flush (>= one 15 ms RTT away) has not.
             flushed_at_ack = gw.writes_flushed
             yield g.sim.timeout(1.0)
@@ -334,12 +362,12 @@ class TestPartition:
             part.begin({"n0", "n1", "gw0"})
             # Read within the live lease: served from cache, no WAN.
             t0 = g.sim.now
-            data = yield gw.read_block("n0", inode, 0, (nsd_id, phys))
+            data = yield from gw.read_block("n0", inode, 0, (nsd_id, phys))
             assert data == payload[:bs]
             assert g.sim.now - t0 < 0.010  # far below one WAN RTT
             assert gw.stale_hits >= 1
             # Writeback write: acked locally while the WAN is down.
-            yield gw.write_block("n0", inode, 0, nsd_id, phys, 0, new_block)
+            yield from gw.write_block("n0", inode, 0, nsd_id, phys, 0, new_block)
             assert part.active
             acked_during_cut = gw.write_acks
             flushed_during_cut = gw.writes_flushed
@@ -372,8 +400,8 @@ class TestPartition:
             part.begin({"n0", "n1", "gw0"})
             # Two queued writes: the flusher parks mid-flight on the
             # first, the second is still queued when the cut heals.
-            yield gw.write_block("n0", inode, 0, nsd_id, phys, 0, wa)
-            yield gw.write_block("n0", inode, 0, nsd_id, phys, 0, wb)
+            yield from gw.write_block("n0", inode, 0, nsd_id, phys, 0, wa)
+            yield from gw.write_block("n0", inode, 0, nsd_id, phys, 0, wb)
             # A home-side client is granted rw during the cut (its token
             # path is WAN-free): the lease version advances under us.
             fs.token_manager.on_grant("s3", inode.ino, RW, 0, None)
@@ -390,8 +418,8 @@ class TestPartition:
 
 class TestOneReadPath:
     """Tracing records, it never reroutes: every gateway read takes the
-    same callback chain with the flight recorder on or off, partition
-    armed or not, lease live or lapsed."""
+    same path with the flight recorder on or off, partition armed or
+    not, lease live or lapsed."""
 
     @staticmethod
     def _sequence(traced, armed):
@@ -408,7 +436,10 @@ class TestOneReadPath:
             hop = fs.messages.delivery_time("n0", "gw0", 512.0)
 
             def read(*blocks):
-                evts = [gw.read_block("n0", inode, b, placed[b]) for b in blocks]
+                evts = [
+                    g.sim.process(gw.read_block("n0", inode, b, placed[b]))
+                    for b in blocks
+                ]
                 got = yield g.sim.all_of(evts)
                 return [got[e] for e in evts]
 
@@ -429,7 +460,7 @@ class TestOneReadPath:
                 out += yield from read(2)  # hit inside the live lease
                 yield from lapse_in_flight()
                 # This renewal parks on the cut until the heal.
-                last = gw.read_block("n0", inode, 2, placed[2])
+                last = g.sim.process(gw.read_block("n0", inode, 2, placed[2]))
                 yield g.sim.timeout(0.2)
                 if part is not None:
                     assert not last.triggered

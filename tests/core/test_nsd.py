@@ -204,10 +204,16 @@ class TestKernelEntriesPerBlock:
     BLOCKS = 64
     CEILING = 9
 
-    def test_streamed_write_and_peer_read(self):
+    def stream(self, copies=1):
+        """Entries per block of a streamed write, then of a peer's read."""
+        from repro.core.replication import ReplicationPolicy
+
         from tests.core.testbed import mounted, run_io, small_gfs
 
-        g, cluster, fs, _ = small_gfs(nsd_servers=4, store_data=False)
+        g, cluster, fs, _ = small_gfs(
+            nsd_servers=4, store_data=False,
+            replication=ReplicationPolicy(copies=copies),
+        )
         writer = mounted(g, cluster, node="c0")
         reader = mounted(g, cluster, node="c1")
         nbytes = self.BLOCKS * fs.block_size
@@ -229,6 +235,19 @@ class TestKernelEntriesPerBlock:
         assert len(run_io(g, read())) == nbytes
         s2 = g.sim._seq
         svc = fs.service
-        assert (svc.blocks_written, svc.blocks_read) == (self.BLOCKS, self.BLOCKS)
-        assert (s1 - s0) / self.BLOCKS <= self.CEILING
-        assert (s2 - s1) / self.BLOCKS <= self.CEILING
+        assert (svc.blocks_written, svc.blocks_read) == (
+            copies * self.BLOCKS, self.BLOCKS
+        )
+        return (s1 - s0) / self.BLOCKS, (s2 - s1) / self.BLOCKS
+
+    def test_streamed_write_and_peer_read(self):
+        write, read = self.stream()
+        assert write <= self.CEILING
+        assert read <= self.CEILING
+
+    def test_replicated_peer_read_costs_no_more(self):
+        # A replicated block read runs inside the reader's run process,
+        # as an unreplicated one does: no process of its own.
+        _, read = self.stream()
+        _, replicated = self.stream(copies=2)
+        assert replicated <= read

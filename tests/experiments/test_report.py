@@ -87,6 +87,14 @@ class TestGates:
         # A3 holds all four gates at quick size; E8 and A6 one fewer each.
         assert out.count("gates: 4/4 passed") == 1
         assert out.count("gates: 3/3 passed") == 2
+        assert out.count("gates: 3/3 passed (1 needs full size)") == 2
+
+    def test_quick_section_that_checks_no_gate_says_so(self, capsys):
+        # A2's three gates all need the full-size 32-server point.
+        assert main(["--quick", "--only", "A2"]) == 0
+        out = capsys.readouterr().out
+        tallies = [line for line in out.splitlines() if line.startswith("gates:")]
+        assert tallies == ["gates: none at quick size (3 need full size)"]
 
     def test_planted_quick_gate_failure_fails_quick_run(
         self, capsys, monkeypatch

@@ -22,7 +22,7 @@ import repro.sim.kernel as fast_kernel
 from tests.property import _reference_kernel as ref_kernel
 
 # Plenty of zeros and repeated values: ties at equal simulated time are
-# exactly where (priority, seq) ordering — and therefore the fast paths —
+# exactly where seq ordering — and therefore the fast paths —
 # can silently diverge.
 DELAYS = [0.0, 0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 2.5]
 

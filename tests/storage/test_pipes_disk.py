@@ -47,6 +47,21 @@ class TestPipe:
         sim.run(until=0.001)
         assert pipe.queue_depth == 1
 
+    def test_serves_in_call_order_in_three_entries_per_io(self):
+        # An IO is a grant, a service timer and its own firing: it spawns
+        # no process, whose start and completion would cost two more.
+        sim = Simulation()
+        pipe = Pipe(sim, rate=MB(100))
+        served = []
+        seq0 = sim._seq
+        for i in range(3):
+            pipe.transfer(MB(50)).callbacks.append(
+                lambda _e, i=i: served.append((i, sim.now))
+            )
+        sim.run()
+        assert served == [(0, 0.5), (1, 1.0), (2, 1.5)]
+        assert sim._seq - seq0 <= 3 * 3
+
     def test_validation(self):
         sim = Simulation()
         with pytest.raises(ValueError):
@@ -58,47 +73,35 @@ class TestPipe:
             pipe.transfer(-1)
 
 
-def idle_stage_spans(serve):
-    """Spans one IO through an idle stage records, without their ids."""
-    TRACE.enable()
-    try:
-        sim = Simulation()
-        pipe = Pipe(sim, rate=MB(100), name="p")
-        serve(pipe)
-        sim.run()
-        assert pipe.bytes_served == MB(50) and pipe.ios_served == 1
-        return [(t0, dur, lane, name, cat, args)
-                for _ph, t0, dur, _, lane, name, cat, args in TRACE._events]
-    finally:
-        TRACE.disable()
-        TRACE.reset()
-
-
-class TestFastTransfer:
+class TestIdleStage:
     def test_takes_the_slot_and_queues_contenders(self):
         sim = Simulation()
         pipe = Pipe(sim, rate=MB(100))
-        done = []
-        assert pipe.fast_transfer(MB(50), lambda: done.append(sim.now))
-        assert pipe._res.count == 1
+        first = pipe.transfer(MB(50))
+        assert pipe._res.count == 1  # held at the call, before any entry runs
         queued = pipe.transfer(MB(50))
-        assert not pipe.fast_transfer(MB(50), lambda: None)  # busy stage
+        assert pipe.queue_depth == 1
+        sim.run(until=first)
+        assert sim.now == 0.5
         sim.run(until=queued)
-        assert done == [0.5] and sim.now == 1.0
+        assert sim.now == 1.0
 
-    def test_records_the_spans_transfer_records(self):
-        # Tracing must not decline the fast path: the same slot, the same
-        # service time, and the spans an idle transfer() leaves behind.
-        taken = []
-        fast = idle_stage_spans(
-            lambda pipe: taken.append(pipe.fast_transfer(MB(50), lambda: None))
-        )
-        assert taken == [True]
-        assert fast == idle_stage_spans(lambda pipe: pipe.transfer(MB(50)))
-        assert [span[3:5] for span in fast] == [
-            ("wait", "storage.queue"), ("service", "storage.service"),
+    def test_records_wait_and_service_spans(self):
+        TRACE.enable()
+        try:
+            sim = Simulation()
+            pipe = Pipe(sim, rate=MB(100), name="p")
+            sim.run(until=pipe.transfer(MB(50)))
+            spans = [(t0, dur, lane, name, cat, args)
+                     for _ph, t0, dur, _, lane, name, cat, args in TRACE._events]
+        finally:
+            TRACE.disable()
+            TRACE.reset()
+        args = {"bytes": MB(50)}
+        assert spans == [
+            (0.0, 0.0, "pipe:p", "wait", "storage.queue", args),
+            (0.0, 0.5, "pipe:p", "service", "storage.service", args),
         ]
-        assert fast[1][:3] == (0.0, 0.5, "pipe:p")
 
 
 class TestDiskSpec:
