@@ -7,7 +7,7 @@ plus every substrate the paper's evaluation depends on:
 
 * ``repro.sim``        — discrete-event simulation kernel
 * ``repro.net``        — flow-level WAN/LAN network model (TCP caps, FCIP)
-* ``repro.storage``    — disks, RAID, controllers, SAN fabric
+* ``repro.storage``    — disks, RAID, controllers, FC HBAs
 * ``repro.core``       — the GPFS-like parallel file system (NSD architecture)
 * ``repro.auth``       — RSA multi-cluster auth, GSI identities, UID domains
 * ``repro.hsm``        — hierarchical storage management (tape migrate/recall)

@@ -223,21 +223,21 @@ class NsdServer:
 
     def disk_io(self, sim: Simulation, nsd: Nsd, kind: str,
                 nbytes: float) -> Generator[Event, None, None]:
-        """The server-side SAN leg: HBA then LUN (skipped for diskless NSDs).
+        """The server-side SAN leg: HBA, then the LUN's controller and RAID.
 
         A generator its caller drives with ``yield from``, inside the RPC
-        (or scrub) that pays for it.
+        (or scrub) that pays for it: each stage IO costs 3 kernel entries
+        and a diskless NSD (no HBA, no LUN) yields nothing. Traced as one
+        ``disk.service`` span on the server's lane.
         """
         sid = TRACE.begin(
-            sim, f"san.{kind}", cat="storage.san", lane=f"nsd:{self.name}",
+            sim, "disk.service", cat="nsd.disk", lane=f"nsd:{self.name}",
             nsd=nsd.name, bytes=nbytes,
         ) if TRACE.enabled else 0
         if self.hba is not None:
             yield self.hba.transfer(nbytes)
         if nsd.lun is not None:
-            yield nsd.lun.io(kind, nbytes)
-        else:
-            yield sim.timeout(0.0)
+            yield from nsd.lun.io(kind, nbytes)
         self.bytes_served += nbytes
         if sid:
             TRACE.end(sim, sid)
@@ -644,11 +644,7 @@ class NsdService:
         if guard is not None:
             yield from guard
         # 2. media write
-        sid = tr.begin(self.sim, "disk.service", cat="nsd.disk",
-                       lane=lane) if tr else 0
         yield from server.disk_io(self.sim, nsd, "write", total)
-        if sid:
-            tr.end(self.sim, sid)
         # logical effect, per block
         for phys, offset, data in extents:
             if isinstance(data, int):
@@ -706,11 +702,7 @@ class NsdService:
         if guard is not None:
             yield from guard
         # 2. media read
-        sid = tr.begin(self.sim, "disk.service", cat="nsd.disk",
-                       lane=lane) if tr else 0
         yield from server.disk_io(self.sim, nsd, "read", total)
-        if sid:
-            tr.end(self.sim, sid)
         datas = [nsd.fetch(phys, offset, length) for phys, offset, length in extents]
         guard = self._guard(server)
         if guard is not None:

@@ -283,10 +283,9 @@ def run_a5_degraded(read_bytes: float = MB(400)) -> ExperimentResult:
         if state != "healthy":
             lun.raid.fail_disk()
         if state == "rebuilding":
-            array.hot_spares -= 0  # spare assignment handled by rebuild()
             lun.raid.rebuild()
         t0 = sim.now
-        done = lun.io("read", read_bytes)
+        done = sim.process(lun.io("read", read_bytes))
         sim.run(until=done)
         rate = read_bytes / (sim.now - t0)
         rates[state] = rate

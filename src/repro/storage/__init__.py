@@ -1,4 +1,4 @@
-"""Storage substrate: disks, RAID sets, controllers, arrays, SAN fabric.
+"""Storage substrate: disks, RAID sets, controllers, arrays, FC HBAs.
 
 Models the hardware behind the paper's NSD servers:
 
@@ -8,7 +8,7 @@ Models the hardware behind the paper's NSD servers:
   seven 8+P RAID-5 sets per brick, dual 2 Gb/s FC controllers
   (200 MB/s each, paper Figs 1 & 9).
 
-Throughput emerges from a pipeline of rate-limited stages (HBA → fabric →
+Throughput emerges from a pipeline of rate-limited stages (HBA →
 controller → RAID/disks); per-IO latency adds along the chain while
 steady-state throughput is set by the slowest stage — matching how the
 paper's balanced-configuration arithmetic is done in §5.
@@ -19,7 +19,7 @@ from repro.storage.disk import Disk, DiskSpec, FC_2005, SATA_2005
 from repro.storage.raid import RaidSet
 from repro.storage.controller import Controller, DS4100_CONTROLLER
 from repro.storage.array import Lun, StorageArray, make_ds4100, make_fastt600
-from repro.storage.san import Hba, SanFabric
+from repro.storage.san import Hba
 
 __all__ = [
     "Pipe",
@@ -35,5 +35,4 @@ __all__ = [
     "make_ds4100",
     "make_fastt600",
     "Hba",
-    "SanFabric",
 ]

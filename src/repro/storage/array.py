@@ -38,19 +38,16 @@ class Lun:
         self.name = name
         self.controller = controller
         self.raid = raid
-        self.sim = controller.sim
 
     @property
     def capacity(self) -> float:
         return self.raid.capacity
 
-    def io(self, kind: str, nbytes: float, sequential: bool = True) -> Event:
-        """Controller stage then RAID stage; fires when data is on/off media."""
-        return self.sim.process(self._io(kind, nbytes, sequential), name=f"{self.name}-{kind}")
-
-    def _io(self, kind: str, nbytes: float, sequential: bool) -> Generator[Event, None, None]:
+    def io(self, kind: str, nbytes: float) -> Generator[Event, None, None]:
+        """Controller stage then RAID stage, done when data is on/off media
+        (a generator its caller drives with ``yield from``)."""
         yield self.controller.transfer(kind, nbytes)
-        yield self.raid.io(kind, nbytes, sequential)
+        yield self.raid.io(kind, nbytes)
 
 
 class StorageArray:
@@ -66,7 +63,6 @@ class StorageArray:
         data_disks: int = 8,
         parity_disks: int = 1,
         hot_spares: int = 0,
-        detailed: bool = False,
     ) -> None:
         if raid_sets < 1:
             raise ValueError("need at least one RAID set")
@@ -84,7 +80,6 @@ class StorageArray:
                 disk_spec,
                 data_disks=data_disks,
                 parity_disks=parity_disks,
-                detailed=detailed,
                 name=f"{name}.r{i}",
             )
             # Alternate RAID sets between the two controllers/loops (Fig 9).
@@ -121,7 +116,7 @@ class StorageArray:
         return sum(lun.capacity for lun in self.luns)
 
 
-def make_ds4100(sim: Simulation, name: str, detailed: bool = False) -> StorageArray:
+def make_ds4100(sim: Simulation, name: str) -> StorageArray:
     """The paper's SATA brick: 67 × 250 GB, 7 × (8+P), 4 hot spares."""
     array = StorageArray(
         sim,
@@ -132,13 +127,12 @@ def make_ds4100(sim: Simulation, name: str, detailed: bool = False) -> StorageAr
         data_disks=8,
         parity_disks=1,
         hot_spares=4,
-        detailed=detailed,
     )
     assert array.drive_count == 67  # 7*9 + 4, per Fig 9
     return array
 
 
-def make_fastt600(sim: Simulation, name: str, detailed: bool = False) -> StorageArray:
+def make_fastt600(sim: Simulation, name: str) -> StorageArray:
     """SC'04 StorCloud brick: FC drives, dual controllers."""
     return StorageArray(
         sim,
@@ -149,5 +143,4 @@ def make_fastt600(sim: Simulation, name: str, detailed: bool = False) -> Storage
         data_disks=8,
         parity_disks=1,
         hot_spares=2,
-        detailed=detailed,
     )

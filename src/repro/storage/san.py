@@ -1,18 +1,16 @@
-"""SAN plumbing: Fibre Channel HBAs and switch fabric.
+"""SAN plumbing: Fibre Channel HBAs.
 
 The NSD servers reach the bricks through FC Host Bus Adapters (one 2 Gb/s
-HBA per server in the 2005 production build; three per server at SC'04)
-and a Brocade fabric. A 2 Gb/s FC link carries ~200 MB/s of payload after
-8b/10b coding. The fabric itself is non-blocking at the paper's port
-counts, so it contributes an optional aggregate cap only.
+HBA per server in the 2005 production build; three per server at SC'04).
+A 2 Gb/s FC link carries ~200 MB/s of payload after 8b/10b coding. The
+Brocade fabric between them is non-blocking at the paper's port counts,
+so it is not modelled: a server's SAN leg is its HBA stage, then its
+LUN's controller and RAID stages (:meth:`repro.core.nsd.NsdServer.disk_io`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional
-
 from repro.sim.kernel import Event, Simulation
-from repro.storage.array import Lun
 from repro.storage.pipes import Pipe
 from repro.util.units import MB
 
@@ -23,12 +21,12 @@ FC2_RATE = MB(200)
 class Hba:
     """A server's FC port: both directions share the link budget."""
 
-    def __init__(self, sim: Simulation, rate: float = FC2_RATE, ports: int = 1, name: str = "hba") -> None:
+    def __init__(self, sim: Simulation, ports: int = 1, name: str = "hba") -> None:
         if ports < 1:
             raise ValueError("ports must be >= 1")
         self.sim = sim
         self.ports = ports
-        self._pipe = Pipe(sim, rate * ports, name=name)
+        self._pipe = Pipe(sim, FC2_RATE * ports, name=name)
 
     def transfer(self, nbytes: float) -> Event:
         return self._pipe.transfer(nbytes)
@@ -36,57 +34,3 @@ class Hba:
     @property
     def rate(self) -> float:
         return self._pipe.rate
-
-
-class SanFabric:
-    """Brocade-style fabric: maps servers to LUNs, optional aggregate cap."""
-
-    def __init__(
-        self,
-        sim: Simulation,
-        aggregate_rate: Optional[float] = None,
-        name: str = "san",
-    ) -> None:
-        self.sim = sim
-        self.name = name
-        self._hbas: Dict[str, Hba] = {}
-        self._zones: Dict[str, list[Lun]] = {}
-        self._agg: Optional[Pipe] = (
-            Pipe(sim, aggregate_rate, name=f"{name}.agg") if aggregate_rate else None
-        )
-
-    def attach_server(self, server: str, hba: Hba) -> None:
-        if server in self._hbas:
-            raise ValueError(f"server {server!r} already attached")
-        self._hbas[server] = hba
-        self._zones[server] = []
-
-    def zone(self, server: str, lun: Lun) -> None:
-        """Grant ``server`` access to ``lun``."""
-        if server not in self._hbas:
-            raise KeyError(f"server {server!r} not attached to fabric {self.name!r}")
-        self._zones[server].append(lun)
-
-    def luns_for(self, server: str) -> list[Lun]:
-        return list(self._zones.get(server, []))
-
-    def io(self, server: str, lun: Lun, kind: str, nbytes: float, sequential: bool = True) -> Event:
-        """Full SAN path: HBA → (fabric) → controller → RAID."""
-        if server not in self._hbas:
-            raise KeyError(f"server {server!r} not attached to fabric {self.name!r}")
-        if lun not in self._zones[server]:
-            raise PermissionError(
-                f"server {server!r} is not zoned for LUN {lun.name!r}"
-            )
-        return self.sim.process(
-            self._io(server, lun, kind, nbytes, sequential), name=f"{self.name}-io"
-        )
-
-    def _io(
-        self, server: str, lun: Lun, kind: str, nbytes: float, sequential: bool
-    ) -> Generator[Event, None, None]:
-        hba = self._hbas[server]
-        yield hba.transfer(nbytes)
-        if self._agg is not None:
-            yield self._agg.transfer(nbytes)
-        yield lun.io(kind, nbytes, sequential)

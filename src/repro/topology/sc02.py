@@ -80,7 +80,7 @@ class SanergyClient:
         # SCSI command out (latency only), disk service, data frames back.
         yield self.messages.send(self.local_node, self.san_node, nbytes=512)
         lun = self.array.luns[lun_idx % len(self.array.luns)]
-        yield lun.io("read", size, sequential=True)
+        yield from lun.io("read", size)
         yield self.engine.transfer(
             self.san_node, self.local_node, size, tags=("sc02",)
         )
@@ -130,7 +130,6 @@ def build_sc02(
         raid_sets=16,
         data_disks=8,
         parity_disks=1,
-        detailed=False,
     )
     client = SanergyClient(
         sim,

@@ -67,7 +67,7 @@ def build_sc03(
         if with_disks:
             array = make_fastt600(g.sim, f"flr-st{i:02d}")
             lun = array.luns[0]
-            hba = Hba(g.sim)
+            hba = Hba(g.sim, name=f"{name}.hba")
         specs.append(
             NsdSpec(server=name, blocks=blocks_per_nsd, lun=lun, hba=hba)
         )

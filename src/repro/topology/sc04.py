@@ -79,7 +79,8 @@ def build_sc04(
         lane = i % LANES
         net.add_host(name, f"floor-sw{lane}", Gbps(1), site="floor")
         floor.add_node(name)
-        hba = Hba(g.sim, ports=3) if with_disks else None  # 3 FC HBAs per server
+        # 3 FC HBAs per server
+        hba = Hba(g.sim, ports=3, name=f"{name}.hba") if with_disks else None
         lun = None
         if all_luns:
             lun = all_luns[lun_cursor % len(all_luns)]

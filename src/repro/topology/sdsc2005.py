@@ -103,7 +103,7 @@ def build_sdsc2005(
         name = f"nsd{i:02d}"
         net.add_host(name, "sdsc-gbe", server_nic, site="sdsc")
         sdsc.add_node(name)
-        hba = Hba(g.sim) if with_disks else None
+        hba = Hba(g.sim, name=f"{name}.hba") if with_disks else None
         lun = luns[i % len(luns)] if luns else None
         specs.append(NsdSpec(server=name, blocks=_blocks_for(lun), lun=lun, hba=hba))
     # Spread remaining LUNs over the servers (224 LUNs / 64 servers):

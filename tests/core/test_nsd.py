@@ -6,8 +6,34 @@ from repro.core.cluster import Gfs, NsdSpec
 from repro.core.nsd import Nsd, NsdServer, NsdService
 from repro.faults.health import NodeHealth
 from repro.sim import Simulation
+from repro.sim.trace import TRACE
 from repro.storage import Hba, make_ds4100
 from repro.util.units import Gbps, KiB
+
+
+def san_gfs():
+    """Server ``s0`` fronts a DS4100 LUN through an HBA (NSD 0); ``s1``
+    is diskless (NSD 1). Client ``c0`` shares their switch."""
+    g = Gfs(seed=0)
+    g.network.add_node("sw", kind="switch")
+    for name in ("s0", "s1", "c0"):
+        g.network.add_host(name, "sw", Gbps(10))
+    cluster = g.add_cluster("c")
+    cluster.add_nodes(["s0", "s1", "c0"])
+    array = make_ds4100(g.sim, "b0")
+    fs = cluster.mmcrfs(
+        "fs0",
+        [
+            NsdSpec(server="s0", blocks=64, lun=array.luns[0],
+                    hba=Hba(g.sim, name="s0.hba")),
+            NsdSpec(server="s1", blocks=64),
+        ],
+        block_size=KiB(64),
+        store_data=False,
+    )
+    svc = fs.service
+    assert (svc.server_of(0).node, svc.server_of(1).node) == ("s0", "s1")
+    return g, svc, fs.block_size
 
 
 class TestNsdStore:
@@ -93,6 +119,22 @@ class TestNsdServer:
         nsd = Nsd(0, "n", total_blocks=8, block_size=1024)
         server = NsdServer("node0", [nsd], tags=("lane2",))
         assert server.tags == ("lane2",)
+
+    def test_traced_rpc_records_the_san_leg_once(self):
+        g, svc, bs = san_gfs()
+        TRACE.enable()
+        try:
+            g.run(until=g.sim.process(svc.read_block("c0", 0, 0, 0, bs)))
+            g.run(until=g.sim.process(svc.write_block("c0", 0, 1, 0, bs)))
+            spans = [(lane, name, cat, args)
+                     for _ph, _t0, _dur, _, lane, name, cat, args in TRACE._events]
+        finally:
+            TRACE.disable()
+            TRACE.reset()
+        disk = [span for span in spans if span[1] == "disk.service"]
+        leg = ("nsd:s0", "disk.service", "nsd.disk", {"nsd": "fs0-nsd0", "bytes": bs})
+        assert disk == [leg, leg]
+        assert not [span for span in spans if span[1].startswith("san.")]
 
 
 class TestGuardFastPath:
@@ -194,15 +236,16 @@ class TestTelemetryWrappers:
 class TestKernelEntriesPerBlock:
     """Kernel entries (``sim._seq``) a streamed block costs, as a ceiling.
 
-    A block RPC is a control message, a data flow, a SAN stage and an ack.
-    The RPC and its SAN stage run inside the waiting run process, and a
-    message or flow arrival fires from its own delivery timer, so a block
-    costs about 7 entries on either path; 9 leaves room for per-op work
-    (open, tokens, close) without letting a spawned hop back in.
+    A block RPC is a control message, a data flow, a SAN leg and an ack.
+    The RPC and its SAN leg run inside the waiting run process, a message
+    or flow arrival fires from its own delivery timer, and a diskless
+    NSD's SAN leg costs nothing, so a block costs about 6.5 entries on
+    either path; 7 leaves room for per-op work (open, tokens, close)
+    without letting a spawned hop back in.
     """
 
     BLOCKS = 64
-    CEILING = 9
+    CEILING = 7
 
     def stream(self, copies=1):
         """Entries per block of a streamed write, then of a peer's read."""
@@ -244,6 +287,23 @@ class TestKernelEntriesPerBlock:
         write, read = self.stream()
         assert write <= self.CEILING
         assert read <= self.CEILING
+
+    def test_san_leg_costs_three_entries_per_stage(self):
+        # HBA, controller and RAID: a grant, a service timer and a done
+        # each, run inside the RPC; the diskless leg costs none.
+        g, svc, bs = san_gfs()
+
+        def entries(rpc):
+            s0 = g.sim._seq
+            g.run(until=g.sim.process(rpc))
+            return g.sim._seq - s0
+
+        assert entries(svc.read_block("c0", 0, 0, 0, bs)) == 9 + entries(
+            svc.read_block("c0", 1, 0, 0, bs)
+        )
+        assert entries(svc.write_block("c0", 0, 1, 0, bs)) == 9 + entries(
+            svc.write_block("c0", 1, 1, 0, bs)
+        )
 
     def test_replicated_peer_read_costs_no_more(self):
         # A replicated block read runs inside the reader's run process,

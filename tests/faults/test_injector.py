@@ -87,10 +87,10 @@ class TestDiskFail:
         # the other controller while rebuild traffic flows (luns alternate
         # controllers, so lun 2 shares lun 0's controller; lun 1 does not).
         t0 = sim.now
-        sim.run(until=array.luns[2].io("read", MB(64)))
+        sim.run(until=sim.process(array.luns[2].io("read", MB(64))))
         shared = sim.now - t0
         t0 = sim.now
-        sim.run(until=array.luns[1].io("read", MB(64)))
+        sim.run(until=sim.process(array.luns[1].io("read", MB(64))))
         unshared = sim.now - t0
         assert shared > unshared
 

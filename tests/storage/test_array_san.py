@@ -1,4 +1,4 @@
-"""Tests for Controller, StorageArray/Lun, and SAN fabric."""
+"""Tests for Controller, StorageArray/Lun, and the FC HBA."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.storage import (
     Controller,
     DS4100_CONTROLLER,
     Hba,
-    SanFabric,
     make_ds4100,
     make_fastt600,
 )
@@ -75,7 +74,7 @@ class TestDs4100:
         sim = Simulation()
         array = make_ds4100(sim, "b0")
         lun = array.luns[0]
-        evt = lun.io("read", MB(200))
+        evt = sim.process(lun.io("read", MB(200)))
         sim.run(until=evt)
         # controller: 1s (+latency); raid read at 480 MB/s: ~0.42s; serial
         expected = (
@@ -91,48 +90,7 @@ class TestDs4100:
         assert array.usable_capacity > 0
 
 
-class TestSanFabric:
-    def make(self):
-        sim = Simulation()
-        array = make_ds4100(sim, "b0")
-        fabric = SanFabric(sim)
-        hba = Hba(sim)
-        fabric.attach_server("nsd0", hba)
-        fabric.zone("nsd0", array.luns[0])
-        return sim, fabric, array
-
-    def test_io_through_fabric(self):
-        sim, fabric, array = self.make()
-        evt = fabric.io("nsd0", array.luns[0], "read", MB(100))
-        sim.run(until=evt)
-        assert sim.now > 0
-
-    def test_hba_rate_binds(self):
-        # HBA at 200 MB/s is the first stage; two concurrent IOs serialize
-        # through it.
-        sim, fabric, array = self.make()
-        e1 = fabric.io("nsd0", array.luns[0], "read", MB(200))
-        e2 = fabric.io("nsd0", array.luns[0], "read", MB(200))
-        sim.run(until=e2)
-        assert sim.now >= 2 * MB(200) / FC2_RATE
-
-    def test_unzoned_lun_rejected(self):
-        sim, fabric, array = self.make()
-        with pytest.raises(PermissionError):
-            fabric.io("nsd0", array.luns[1], "read", MB(1))
-
-    def test_unknown_server_rejected(self):
-        sim, fabric, array = self.make()
-        with pytest.raises(KeyError):
-            fabric.io("ghost", array.luns[0], "read", MB(1))
-        with pytest.raises(KeyError):
-            fabric.zone("ghost", array.luns[0])
-
-    def test_duplicate_attach_rejected(self):
-        sim, fabric, _ = self.make()
-        with pytest.raises(ValueError):
-            fabric.attach_server("nsd0", Hba(sim))
-
+class TestHba:
     def test_multi_port_hba(self):
         sim = Simulation()
         hba = Hba(sim, ports=3)

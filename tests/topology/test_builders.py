@@ -12,6 +12,7 @@ from repro.topology import (
     build_sdsc2005,
 )
 from repro.net.topology import Network
+from repro.sim.trace import TRACE
 from repro.util.units import Gbps, TB
 
 
@@ -116,6 +117,42 @@ class TestSdsc2005:
     def test_validation(self):
         with pytest.raises(ValueError):
             build_sdsc2005(nsd_servers=0)
+
+
+class TestHbaLanes:
+    """Each disk-backed NSD server's FC port traces on a lane of its own."""
+
+    @pytest.mark.parametrize(
+        "build, client",
+        [
+            (lambda: build_sc03(nsd_servers=2, sdsc_viz_nodes=1,
+                                ncsa_viz_nodes=1), "sdsc-viz00"),
+            (lambda: build_sc04(nsd_servers=2, sdsc_clients=1, ncsa_clients=1,
+                                arrays=1), "sdsc-ds000"),
+            (lambda: build_sdsc2005(nsd_servers=2, ds4100_count=1,
+                                    sdsc_clients=1, anl_clients=0,
+                                    ncsa_clients=0), "sdsc-tg000"),
+        ],
+        ids=["sc03", "sc04", "sdsc2005"],
+    )
+    def test_two_servers_two_hba_lanes(self, build, client):
+        fs = build().fs
+        svc = fs.service
+        first_nsd = {}
+        for nsd_id in range(len(fs.nsds)):
+            first_nsd.setdefault(svc.server_of(nsd_id).name, nsd_id)
+        assert len(first_nsd) == 2
+        TRACE.enable()
+        try:
+            for nsd_id in first_nsd.values():
+                rpc = svc.read_block(client, nsd_id, 0, 0, fs.block_size)
+                svc.sim.run(until=svc.sim.process(rpc))
+            lanes = {lane for _ph, _t0, _dur, _, lane, *_ in TRACE._events
+                     if lane.endswith("hba")}
+        finally:
+            TRACE.disable()
+            TRACE.reset()
+        assert lanes == {f"pipe:{server}.hba" for server in first_nsd}
 
 
 class TestDeisa:
