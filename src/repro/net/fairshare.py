@@ -723,16 +723,12 @@ class FairshareState:
             self._require_link_caps()
         moved_cols: List[np.ndarray] = []
         moved_old: List[np.ndarray] = []
-
-        def move(cols: np.ndarray, new_rates) -> None:
-            moved_cols.append(cols)
-            moved_old.append(self._rates[cols].copy())
-            self._rates[cols] = new_rates
-
         if self._fresh:
             fresh = np.asarray(self._fresh, dtype=np.intp)
             self._fresh = []
-            move(fresh, self._fcaps[fresh])
+            moved_cols.append(fresh)
+            moved_old.append(self._rates[fresh])
+            self._rates[fresh] = self._fcaps[fresh]
         if self._removals >= self._REBUILD_REMOVALS:
             self._rebuild_partition()
         for root in sorted(self._dirty):
@@ -741,13 +737,13 @@ class FairshareState:
                 continue
             # Weight-0 (parked) class columns keep the component glued but
             # take no bandwidth; the solver never sees them.
-            comp_cols = np.fromiter(cols_set, dtype=np.intp,
+            comp_cols = np.fromiter(sorted(cols_set), dtype=np.intp,
                                     count=len(cols_set))
-            live_cols = comp_cols[self._weights[comp_cols] > 0.0]
+            cols = comp_cols[self._weights[comp_cols] > 0.0]
             # The solver is chosen by live count: on the gateway workload
             # most components register 20–24 columns, at most 10 of them
             # live.
-            n = live_cols.shape[0]
+            n = cols.shape[0]
             if not n:
                 continue
             if n == 1:
@@ -755,7 +751,6 @@ class FairshareState:
             else:
                 self.solves += 1
                 self.solved_rows += n
-            cols = np.sort(live_cols)
             if n <= _SCALAR_MAX_COLS:
                 paths = self._paths
                 rates = np.array(_fill_scalar(
@@ -767,10 +762,15 @@ class FairshareState:
                 # table.
                 rates = _water_fill(np.take(self._table, cols, axis=1), self._caps,
                                     self._fcaps[cols], self._weights[cols])
-            diff = rates != self._rates[cols]
-            if diff.any():
-                move(cols[diff], rates[diff])
+            old = self._rates[cols]
+            moved = np.flatnonzero(rates != old)
+            if moved.size:
+                moved_cols.append(cols[moved])
+                moved_old.append(old[moved])
+                self._rates[cols] = rates
         self._dirty.clear()
+        if len(moved_cols) == 1:
+            return moved_cols[0], moved_old[0]
         if not moved_cols:
             empty = np.empty(0)
             return empty.astype(np.intp), empty

@@ -24,25 +24,27 @@ The NSD mesh is symmetric: N clients reading from M servers produce N·M
 flows but only as many *distinct* (link-incidence column, TCP cap) pairs
 as there are route classes — and flows in the same class provably receive
 identical max-min rates. The engine therefore solves in class space by
-default (``aggregate=True``): each distinct ``(route links, cap)`` key
-owns one weighted :class:`~repro.net.fairshare.FairshareState` column, a
-repeat transfer *joins* the class (a weight bump — no path-table or
-union-find churn), a completion *leaves* it, and a class whose last
-member left is parked at weight 0 (kept registered for cheap rejoin,
-bounded by an LRU evict). Solver dimension drops from O(flows) to
-O(classes).
+default (``aggregate=True``): each distinct ``(path_ids, cap)`` key owns
+one :class:`~repro.net.fairshare.FairshareState` column whose weight is
+the class's member count, a repeat transfer *joins* the class (a weight
+bump — no path-table or union-find churn), a completion *leaves* it, and
+a class whose last member left is parked at weight 0 (kept registered
+for cheap rejoin, bounded by an LRU evict). Solver dimension drops from
+O(flows) to O(classes).
 
 Per-flow accounting stays exact: every flow owns an engine-level *slot*
-(kinematics arrays + its entry in tag indexes), class rates are expanded
-back to member slots after each solve, and the slot allocator reuses the
-solver's exact LIFO/doubling discipline so slot numbering — and therefore
-every order-sensitive float sum over slots — is identical whether the
-engine aggregates or not. Combined with the solver's drain, which groups
-fixed demand by rate so that ``w`` members and one weight-``w`` class
-perform the same float operations (see ``fairshare``'s module docstring),
-``aggregate=True`` and ``aggregate=False`` produce bit-identical per-flow
-rate series, byte accounting, and tag series; the flag is the test
-oracle, not a tolerance.
+(kinematics arrays + its entry in tag indexes), and a slot → column
+array lets one gather of the column rates, after a solve that moved a
+column or followed a join, find every live slot whose rate differs. The
+slot allocator reuses the solver's exact LIFO/doubling discipline so
+slot numbering — and therefore every order-sensitive float sum over
+slots — is identical whether the engine aggregates or not. Combined with
+the solver's drain, which groups fixed demand by rate so that ``w``
+members and one weight-``w`` class perform the same float operations
+(see ``fairshare``'s module docstring), ``aggregate=True`` and
+``aggregate=False`` produce bit-identical per-flow rate series, byte
+accounting, and tag series; the flag is the test oracle, not a
+tolerance.
 
 Tags: each transfer may carry string tags ("wan", "sdsc->ncsa", ...); the
 engine maintains an exact piecewise-constant aggregate-rate series per tag —
@@ -55,7 +57,7 @@ gather-sum per tag with no per-change rebuild.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -143,7 +145,7 @@ class Flow:
         dst: str,
         size: float,
         cap: float,
-        path_ids: Sequence[int],
+        path_ids: Tuple[int, ...],
         one_way_delay: float,
         tags: tuple[str, ...],
         done: Event,
@@ -155,7 +157,9 @@ class Flow:
         self.remaining = float(size)
         self.rate = 0.0
         self.cap = cap
-        self.path_ids = list(path_ids)
+        #: The network's cached link-id tuple, shared by every flow
+        #: between the same two hosts.
+        self.path_ids = path_ids
         self.one_way_delay = one_way_delay
         self.tags = tags
         self.done = done
@@ -169,22 +173,6 @@ class Flow:
             f"<Flow {self.src}->{self.dst} {self.remaining:.3g}/{self.size:.3g}B "
             f"@{self.rate:.3g}B/s>"
         )
-
-
-class _RouteClass:
-    """One (route links, rate cap) equivalence class of active flows.
-
-    Owns one weighted solver column; ``members`` maps slot -> Flow in
-    insertion order. A class with ``weight == 0`` is parked: the column
-    stays registered (rejoin is a pure weight bump) until LRU-evicted.
-    """
-
-    __slots__ = ("key", "col", "members")
-
-    def __init__(self, key, col: int) -> None:
-        self.key = key
-        self.col = col
-        self.members: Dict[int, Flow] = {}
 
 
 class _TagIndex:
@@ -265,12 +253,12 @@ class FlowEngine:
         #: bump on an existing class (no solver-column churn).
         self.class_joins = 0
         self._state = FairshareState(network.link_capacities())
-        #: (route links, cap) key -> class; unaggregated engines key by
-        #: flow seq so classes never merge and park nothing.
-        self._classes: Dict[object, _RouteClass] = {}
-        self._class_by_col: Dict[int, _RouteClass] = {}
-        #: Parked (weight-0) class keys in LRU order -> class.
-        self._parked: Dict[object, _RouteClass] = {}
+        #: (path_ids, cap) key -> the class's solver column, whose weight
+        #: is its member count; unaggregated engines key by flow seq so
+        #: classes never merge and park nothing.
+        self._classes: Dict[object, int] = {}
+        #: Parked (weight-0) class keys in LRU order -> column.
+        self._parked: Dict[object, int] = {}
         #: Classes with live members (== solver columns doing work).
         self.live_classes = 0
         # Slot-aligned kinematics, grown on demand. A slot's residual is
@@ -286,11 +274,13 @@ class FlowEngine:
         self._fsize = np.zeros(cap)
         self._finish = np.full(cap, np.inf)
         self._slot_rate = np.zeros(cap)
+        #: Each slot's solver column; -1 for a free slot.
+        self._slot_col = np.full(cap, -1, dtype=np.intp)
         self._slot_flow: Dict[int, Flow] = {}
         self._free_slots: List[int] = list(range(cap - 1, -1, -1))
-        #: (slot, col) pairs added since the last recompute; any whose
-        #: class rate did not move still needs its slot rated.
-        self._fresh_slots: List[Tuple[int, int]] = []
+        #: A transfer joined since the last recompute: its slot needs
+        #: rating even if its column's rate did not move.
+        self._joined = False
         self._tag_series: Dict[str, TimeSeries] = {}
         self._tag_idx: Dict[str, _TagIndex] = {}
         self._recompute_pending = False
@@ -327,13 +317,13 @@ class FlowEngine:
         if cap is not None and not cap > 0:
             raise ValueError(f"transfer {src}->{dst}: cap must be positive, got {cap}")
         tcp = tcp or self.default_tcp
-        links = self.network.path(src, dst)
+        path_ids = self.network.path_ids(src, dst)
         delay = self.network.one_way_delay(src, dst)
-        rtt = self.network.rtt(src, dst) if links else 0.0
+        rtt = self.network.rtt(src, dst) if path_ids else 0.0
         flow_cap = tcp.rate_cap(rtt)
         if cap is not None:
             flow_cap = min(flow_cap, cap)
-        if not links:
+        if not path_ids:
             flow_cap = min(flow_cap, self.local_rate)
         done = self.sim.event(name=f"xfer:{src}->{dst}")
         now = self.sim.now
@@ -342,7 +332,7 @@ class FlowEngine:
             dst,
             nbytes,
             flow_cap,
-            [l.index for l in links],
+            path_ids,
             delay,
             tuple(tags),
             done,
@@ -353,7 +343,7 @@ class FlowEngine:
         if nbytes == 0:
             return done.succeed_after(delay, flow)
         if TRACE.enabled:
-            flow.cap_kind = _cap_kind(tcp, rtt, cap, bool(links), self.local_rate)
+            flow.cap_kind = _cap_kind(tcp, rtt, cap, bool(path_ids), self.local_rate)
             TRACE.flow_created(self.sim, flow.seq, src, dst, nbytes, flow.tags)
         self.flows[flow] = None
         slot = flow.slot = self._alloc_slot()
@@ -363,9 +353,8 @@ class FlowEngine:
         self._fsize[slot] = nbytes
         self._finish[slot] = np.inf
         self._slot_rate[slot] = 0.0
-        cls = self._join_class(flow)
-        cls.members[slot] = flow
-        self._fresh_slots.append((slot, cls.col))
+        self._slot_col[slot] = self._join_class(flow)
+        self._joined = True
         for tag in flow.tags:
             self.tag_rate_series(tag)
             idx = self._tag_idx.get(tag)
@@ -452,62 +441,50 @@ class FlowEngine:
                 ("_fsize", 0.0),
                 ("_finish", np.inf),
                 ("_slot_rate", 0.0),
+                ("_slot_col", -1),
             ):
-                arr = np.full(new, fill)
-                arr[:old] = getattr(self, name)
-                setattr(self, name, arr)
+                arr = getattr(self, name)
+                grown = np.full(new, fill, dtype=arr.dtype)
+                grown[:old] = arr
+                setattr(self, name, grown)
             self._free_slots.extend(range(new - 1, old - 1, -1))
         return self._free_slots.pop()
 
-    def _join_class(self, flow: Flow) -> _RouteClass:
-        """Find-or-create the route class for ``flow`` and count it in."""
-        if self.aggregate:
-            key = (tuple(flow.path_ids), flow.cap)
-        else:
-            key = flow.seq  # unique: one class (and column) per flow
-        cls = self._classes.get(key)
-        if cls is None:
-            col = self._state.add_flow(flow.path_ids, flow.cap)
-            cls = _RouteClass(key, col)
-            self._classes[key] = cls
-            self._class_by_col[col] = cls
-        else:
-            w = self._state.weight_of(cls.col)
-            if w == 0:
-                del self._parked[key]
-            self._state.set_weight(cls.col, w + 1)
-            self.class_joins += 1
-        if not cls.members:
+    def _join_class(self, flow: Flow) -> int:
+        """Count ``flow`` into its route class; return the class's column."""
+        key = (flow.path_ids, flow.cap) if self.aggregate else flow.seq
+        col = self._classes.get(key)
+        if col is None:
+            col = self._classes[key] = self._state.add_flow(flow.path_ids, flow.cap)
             self.live_classes += 1
-        return cls
+            return col
+        w = self._state.weight_of(col)
+        if not w:
+            del self._parked[key]
+            self.live_classes += 1
+        self._state.set_weight(col, w + 1)
+        self.class_joins += 1
+        return col
 
-    def _leave_class(self, flow: Flow) -> None:
-        cls = self._classes[
-            (tuple(flow.path_ids), flow.cap) if self.aggregate else flow.seq
-        ]
-        del cls.members[flow.slot]
-        if cls.members:
-            self._state.set_weight(
-                cls.col, self._state.weight_of(cls.col) - 1
-            )
+    def _leave_class(self, flow: Flow, col: int) -> None:
+        """Count ``flow`` out of column ``col``; park or drop an emptied class."""
+        w = self._state.weight_of(col)
+        if w > 1:
+            self._state.set_weight(col, w - 1)
             return
         self.live_classes -= 1
         if not self.aggregate:
-            self._drop_class(cls)
+            self._state.remove_flow(col)
+            del self._classes[flow.seq]
             return
         # Park for cheap rejoin; evict the least-recently-parked class
         # beyond the cap so idle route keys cannot grow the solver forever.
-        self._state.set_weight(cls.col, 0)
-        self._parked[cls.key] = cls
+        self._state.set_weight(col, 0)
+        self._parked[(flow.path_ids, flow.cap)] = col
         if len(self._parked) > _MAX_PARKED_CLASSES:
-            _, evicted = next(iter(self._parked.items()))
-            del self._parked[evicted.key]
-            self._drop_class(evicted)
-
-    def _drop_class(self, cls: _RouteClass) -> None:
-        self._state.remove_flow(cls.col)
-        del self._classes[cls.key]
-        del self._class_by_col[cls.col]
+            evicted = next(iter(self._parked))
+            self._state.remove_flow(self._parked.pop(evicted))
+            del self._classes[evicted]
 
     def _mark_dirty(self) -> None:
         if self._recompute_pending:
@@ -524,39 +501,17 @@ class FlowEngine:
         if self.flows:
             self._state.set_link_caps(self.network.link_capacities())
             cols, _ = self._state.solve()
-            # Expand changed class rates to member slots, then pick up
-            # fresh members whose class rate happened not to move (their
-            # slot rate is still 0; real rates are always positive).
-            changed_slots: List[int] = []
-            changed_cols: List[int] = []
-            if cols.size:
-                by_col = self._class_by_col
-                for ci in cols.tolist():
-                    members = by_col[ci].members
-                    changed_slots.extend(members)
-                    changed_cols.extend([ci] * len(members))
-            if self._fresh_slots:
-                seen = set(changed_slots)
-                for slot, col in self._fresh_slots:
-                    if (
-                        slot not in seen
-                        and self._slot_rate[slot] == 0.0
-                        and slot in self._slot_flow
-                    ):
-                        changed_slots.append(slot)
-                        changed_cols.append(col)
-                self._fresh_slots.clear()
-            if changed_slots:
-                slots = np.asarray(changed_slots, dtype=np.intp)
-                old_rates = self._slot_rate[slots]
-                new_rates = self._state.rates[
-                    np.asarray(changed_cols, dtype=np.intp)
-                ]
-                moved = new_rates != old_rates
-                if moved.any():
-                    slots = slots[moved]
-                    old_rates = old_rates[moved]
-                    new_rates = new_rates[moved]
+            # Every live slot's rate equals its column's once this runs,
+            # so only a moved column or a joined slot can break that.
+            if cols.size or self._joined:
+                slot_col = self._slot_col
+                col_rates = self._state.rates[slot_col]
+                slots = np.flatnonzero(
+                    (col_rates != self._slot_rate) & (slot_col >= 0)
+                )
+                if slots.size:
+                    old_rates = self._slot_rate[slots]
+                    new_rates = col_rates[slots]
                     self.rate_changes += int(slots.size)
                     # Materialize residuals for exactly the flows whose
                     # rate changed (their old rate held from _last_t until
@@ -576,8 +531,7 @@ class FlowEngine:
                     )
                     if TRACE.enabled:
                         self._trace_rate_changes(slots)
-        else:
-            self._fresh_slots.clear()
+        self._joined = False
         self._snapshot_tags(now)
         self._schedule_next_completion(now)
 
@@ -628,7 +582,8 @@ class FlowEngine:
     def _finish_flow(self, f: Flow) -> None:
         slot = f.slot
         del self.flows[f]
-        self._leave_class(f)
+        self._leave_class(f, int(self._slot_col[slot]))
+        self._slot_col[slot] = -1
         del self._slot_flow[slot]
         self._finish[slot] = np.inf
         self._slot_rate[slot] = 0.0

@@ -2,14 +2,21 @@
 
 A :class:`Network` is a static directed graph of named nodes. Hosts hang off
 switches via NIC links; WAN trunks connect switches/routers. Routing is
-Dijkstra by propagation delay (hop count as tiebreak), computed on demand
-and cached — the paper's topologies are static for the life of a run.
+Dijkstra by propagation delay (hop count, then node name, as tiebreaks).
+The first route asked of a source runs it to completion and keeps the
+source's shortest-path tree (each reached node's predecessor link), so a
+mesh of N sources and M destinations costs N searches, not N·M; a path is
+the tree's predecessors walked back from the destination. Delays are
+non-negative, so a settled node's predecessor never changes after it
+settles, and the tree gives every destination the path a search stopping
+at that destination would have.
 
-Derived per-pair quantities (delay sums, link-id tuples, bottleneck rates)
-are cached too: they are recomputed identically otherwise on every message
-send and flow start, which dominates RPC-heavy runs. Path/delay/id caches
-are invalidated when a link is added; the bottleneck cache additionally on
-any ``Link.set_rate`` (the only mutable link attribute).
+Derived per-pair quantities (paths, delay sums, link-id tuples,
+bottleneck rates) are cached too: they are recomputed identically
+otherwise on every message send and flow start, which dominates RPC-heavy
+runs. The tree, path, delay and id caches are invalidated when a link is
+added; the bottleneck cache additionally on any ``Link.set_rate`` (the
+only mutable link attribute).
 """
 
 from __future__ import annotations
@@ -47,6 +54,8 @@ class Network:
         self.nodes: Dict[str, NetNode] = {}
         self.links: List[Link] = []
         self._adj: Dict[str, List[Link]] = {}
+        #: source -> its shortest-path tree: node -> predecessor link.
+        self._trees: Dict[str, Dict[str, Link]] = {}
         self._path_cache: Dict[Tuple[str, str], List[Link]] = {}
         self._pathids_cache: Dict[Tuple[str, str], Tuple[int, ...]] = {}
         self._delay_cache: Dict[Tuple[str, str], float] = {}
@@ -88,6 +97,7 @@ class Network:
         if duplex:
             back = Link(b, a, rate_back if rate_back is not None else rate, delay, efficiency)
             self._register(back)
+        self._trees.clear()
         self._path_cache.clear()
         self._pathids_cache.clear()
         self._delay_cache.clear()
@@ -138,25 +148,9 @@ class Network:
         if cached is not None:
             return cached
         self.node(src), self.node(dst)
-        # Dijkstra by (delay, hops).
-        dist: Dict[str, Tuple[float, int]] = {src: (0.0, 0)}
-        prev: Dict[str, Link] = {}
-        heap: List[Tuple[float, int, str]] = [(0.0, 0, src)]
-        visited: set[str] = set()
-        while heap:
-            d, h, u = heapq.heappop(heap)
-            if u in visited:
-                continue
-            visited.add(u)
-            if u == dst:
-                break
-            for link in self._adj[u]:
-                v = link.dst
-                nd, nh = d + link.delay, h + 1
-                if v not in dist or (nd, nh) < dist[v]:
-                    dist[v] = (nd, nh)
-                    prev[v] = link
-                    heapq.heappush(heap, (nd, nh, v))
+        prev = self._trees.get(src)
+        if prev is None:
+            prev = self._trees[src] = self._tree(src)
         if dst not in prev:
             raise RoutingError(f"no route {src!r} -> {dst!r}")
         links: List[Link] = []
@@ -169,8 +163,35 @@ class Network:
         self._path_cache[key] = links
         return links
 
+    def _tree(self, src: str) -> Dict[str, Link]:
+        """Predecessor link of every node reachable from ``src``.
+
+        Dijkstra by (delay, hops), ties by node name, run to completion.
+        """
+        dist: Dict[str, Tuple[float, int]] = {src: (0.0, 0)}
+        prev: Dict[str, Link] = {}
+        heap: List[Tuple[float, int, str]] = [(0.0, 0, src)]
+        visited: set[str] = set()
+        while heap:
+            d, h, u = heapq.heappop(heap)
+            if u in visited:
+                continue
+            visited.add(u)
+            for link in self._adj[u]:
+                v = link.dst
+                nd, nh = d + link.delay, h + 1
+                if v not in dist or (nd, nh) < dist[v]:
+                    dist[v] = (nd, nh)
+                    prev[v] = link
+                    heapq.heappush(heap, (nd, nh, v))
+        return prev
+
     def path_ids(self, src: str, dst: str) -> Tuple[int, ...]:
-        """Link indices of the routed path (cached; for the flow engine)."""
+        """Link indices of the routed path.
+
+        One cached tuple per pair: the flow engine shares it among the
+        pair's flows and keys route classes by it.
+        """
         key = (src, dst)
         ids = self._pathids_cache.get(key)
         if ids is None:

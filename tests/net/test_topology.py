@@ -1,10 +1,13 @@
 """Tests for Network topology and routing."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.net import Link, Network
 from repro.net.topology import RoutingError
 from repro.util.units import Gbps
+from tests.net._reference_routing import early_exit_path
 
 
 def triangle() -> Network:
@@ -140,6 +143,30 @@ class TestRouting:
         assert len(net.path("a", "c")) == 2
         net.add_link("a", "c", Gbps(10), delay=0.001)
         assert len(net.path("a", "c")) == 1
+        # a's tree, built above, has no node d: a new link must retire it.
+        net.add_node("d")
+        net.add_link("c", "d", Gbps(10), delay=0.001)
+        assert [l.dst for l in net.path("a", "d")] == ["c", "d"]
+        assert [l.dst for l in net.path("a", "b")] == ["b"]
+
+    def test_one_tree_per_source(self, monkeypatch):
+        """A 32-client × 8-server switch routes every client↔server pair
+        with 40 searches (one per source), not 512 (one per pair)."""
+        net = Network()
+        net.add_node("sw", kind="switch")
+        clients = [f"c{i}" for i in range(32)]
+        servers = [f"s{j}" for j in range(8)]
+        for host in clients + servers:
+            net.add_host(host, "sw", Gbps(1))
+        built = []
+        tree = Network._tree
+        monkeypatch.setattr(Network, "_tree",
+                            lambda self, src: built.append(src) or tree(self, src))
+        for c in clients:
+            for s in servers:
+                assert [l.dst for l in net.path(c, s)] == ["sw", s]
+                assert [l.dst for l in net.path(s, c)] == ["sw", c]
+        assert sorted(built) == sorted(clients + servers)
 
     def test_one_way_delay_and_rtt(self):
         net = triangle()
@@ -154,3 +181,49 @@ class TestRouting:
         net.add_link("y", "z", Gbps(1), efficiency=1.0)
         assert net.bottleneck_rate("x", "z") == pytest.approx(Gbps(1))
         assert net.bottleneck_rate("x", "x") == float("inf")
+
+
+_NAMES = list("qbzahmxc")
+
+#: Links as (src index, dst index, delay, duplex). Few distinct delays, so
+#: equal-delay routes tie; zero delays and repeated pairs (parallel links)
+#: are common, and simplex links or unlinked nodes leave pairs unreachable.
+_links_st = st.lists(
+    st.tuples(
+        st.integers(0, len(_NAMES) - 1),
+        st.integers(0, len(_NAMES) - 1),
+        st.sampled_from([0.0, 0.0, 1e-3, 2e-3, 3e-3, 1.0, 2.0]),
+        st.booleans(),
+    ),
+    max_size=16,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nnodes=st.integers(1, len(_NAMES)), first=_links_st, second=_links_st)
+# q→h ties at delay 1.0: via b, z (3 hops) is found first, via a (2 hops)
+# settles later and must win on hops.
+@example(nnodes=5, second=[], first=[
+    (0, 1, 0.0, False), (1, 2, 0.0, False), (2, 4, 1.0, False),
+    (0, 3, 1.0, False), (3, 4, 0.0, False)])
+def test_tree_routes_equal_early_exit_search(nnodes, first, second):
+    """Every ordered pair routes as the per-pair early-exit search does,
+    ``RoutingError`` included, before and after more links are added."""
+    net = Network()
+    names = _NAMES[:nnodes]
+    for name in names:
+        net.add_node(name)
+    for batch in (first, second):
+        for a, b, delay, duplex in batch:
+            if a < nnodes and b < nnodes and a != b:
+                net.add_link(names[a], names[b], Gbps(1), delay=delay,
+                             duplex=duplex)
+        for src in names:
+            for dst in names:
+                try:
+                    want = [l.index for l in early_exit_path(net, src, dst)]
+                except RoutingError:
+                    with pytest.raises(RoutingError):
+                        net.path(src, dst)
+                    continue
+                assert [l.index for l in net.path(src, dst)] == want

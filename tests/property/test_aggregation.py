@@ -196,6 +196,9 @@ schedule_st = st.lists(
         st.integers(0, 1),        # sink
         st.floats(1e4, 2e8),      # bytes
         st.floats(0.0, 1.5),      # start delay
+        # Per-transfer cap: classes split by cap, and a member joining a
+        # cap-bound class whose rate cannot move.
+        st.sampled_from([None, MB(5), MB(20)]),
     ),
     min_size=1,
     max_size=14,
@@ -212,16 +215,16 @@ def run_schedule(schedule, aggregate):
     )
     finishes = []
 
-    def starter(sim, i, src, dst, nbytes, delay):
+    def starter(sim, i, src, dst, nbytes, delay, cap):
         yield sim.timeout(delay)
         # Per-flow tag: its tag series IS its exact rate series. The
         # shared tag exercises multi-flow sum association.
-        yield engine.transfer(f"h{src}", f"s{dst}", nbytes,
+        yield engine.transfer(f"h{src}", f"s{dst}", nbytes, cap=cap,
                               tags=(f"flow{i}", "all"))
         finishes.append((i, sim.now))
 
-    for i, (src, dst, nbytes, delay) in enumerate(schedule):
-        sim.process(starter(sim, i, src, dst, nbytes, delay))
+    for i, (src, dst, nbytes, delay, cap) in enumerate(schedule):
+        sim.process(starter(sim, i, src, dst, nbytes, delay, cap))
     sim.run()
     series = {
         tag: (tuple(s.times), tuple(s.values))
@@ -244,7 +247,7 @@ def test_engine_agg_vs_unagg_bit_identical(schedule):
 
     Exact (==, not approx) on: per-flow rate series, the shared-tag sum
     series, completion times, bytes moved, and the member-level
-    rate-change counter.
+    rate-change counter, with and without per-transfer caps.
     """
     agg = run_schedule(schedule, aggregate=True)
     unagg = run_schedule(schedule, aggregate=False)
@@ -268,7 +271,7 @@ def test_engine_agg_solver_is_smaller(schedule):
         peak["flows"] = max(peak["flows"], engine.active_count)
         yield evt
 
-    for src, dst, nbytes, delay in schedule:
+    for src, dst, nbytes, delay, _cap in schedule:
         sim.process(starter(sim, src, dst, nbytes, delay))
     sim.run()
     assert peak["cols"] <= peak["flows"]
