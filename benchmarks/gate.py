@@ -8,6 +8,9 @@ re-running the bench, which overwrites its rows)::
 Every row of the committed ``BENCH_*.json`` must have a measurement, and its
 ``ops_per_s`` must reach 70% of the committed figure. CI runners are noisy,
 so the gate is deliberately loose: it catches a >30% regression, not drift.
+The deterministic counts a row records (:data:`COUNTS`) do not depend on the
+runner, so each must equal the committed one exactly: a changed count means
+the bench now measures different work, and its row must be re-recorded.
 Rows named ``*_pre_*`` are frozen history (the numbers before an
 optimization landed), not gates. Exits nonzero, naming every failing row.
 """
@@ -20,9 +23,17 @@ import sys
 #: Fraction of the committed ``ops_per_s`` a measurement must reach.
 FLOOR = 0.7
 
+#: Row fields that a run reproduces exactly on any machine.
+COUNTS = (
+    "kernel_events", "ops", "transfers", "nflows", "peak_concurrent",
+    "flows_peak", "solver_cols_peak", "solved_rows", "column_reduction",
+    "bit_identical",
+)
+
 
 def failures(committed: dict, measured: dict) -> list:
-    """One message per gated row that is missing or under the floor."""
+    """One message per gated row that is missing, under the floor, or whose
+    counts differ from the committed ones."""
     out = []
     for name, want in sorted(committed.items()):
         if "_pre_" in name:
@@ -37,6 +48,10 @@ def failures(committed: dict, measured: dict) -> list:
         if got["ops_per_s"] < floor:
             out.append(f"{name}: {got['ops_per_s']:.0f} ops/s is below "
                        f"{FLOOR:.0%} of committed {want['ops_per_s']:.0f}")
+        for key in COUNTS:
+            if key in want and got.get(key) != want[key]:
+                out.append(f"{name}: {key} {got.get(key)} differs from "
+                           f"committed {want[key]}")
     return out
 
 

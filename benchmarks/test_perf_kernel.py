@@ -200,9 +200,7 @@ def run_gateway_hit_path(
         block_size=KiB(256),
         store_data=False,
     )
-    cache = GatewayBlockCache(
-        (blocks + 8) * fs.block_size, fs.block_size, store_data=False
-    )
+    cache = GatewayBlockCache((blocks + 8) * fs.block_size, fs.block_size)
     gw = CacheGateway(fs, gw_names, cache, name="bench-gw", lease_duration=1e9)
 
     m = g.run(until=cluster.mmmount("bench0", "c0"))

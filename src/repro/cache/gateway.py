@@ -273,7 +273,7 @@ class CacheGateway:
         else:
             if self._wan_cut(gw):
                 self.stale_hits += 1  # stale-within-lease service
-            data = entry.data if self.fs.store_data else None
+            data = entry.data
             yield self.disks[gw].transfer(bs)
         yield self.engine.transfer(
             gw, client, bs, tags=tuple(tags) + self.tags,

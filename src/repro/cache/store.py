@@ -45,14 +45,12 @@ class GatewayBlockCache:
         capacity_bytes: int,
         block_size: int,
         policy: str = "lru",
-        store_data: bool = False,
     ) -> None:
         if capacity_bytes < block_size:
             raise ValueError("gateway cache smaller than one block")
         self.block_size = block_size
         self.slots = int(capacity_bytes // block_size)
         self.capacity = self.slots * block_size
-        self.store_data = store_data
         self.policy = make_policy(policy, self.slots)
         self._entries: Dict[Key, GatewayEntry] = {}
         self.hits = 0

@@ -201,18 +201,27 @@ class MountedFs:
         return self.sim.process(self._open(path, mode, create), name=f"open:{path}")
 
     def read(self, handle: FileHandle, length: int) -> Event:
-        """Sequential read at the handle position; value is ``bytes``."""
+        """Sequential read at the handle position; value as :meth:`pread`.
+
+        The handle advances by the number of bytes read.
+        """
         evt = self.pread(handle, handle.pos, length)
 
         def _advance(e: Event) -> None:
             if e.ok:
-                handle.pos += len(e.value)
+                got = e.value
+                handle.pos += got if isinstance(got, int) else len(got)
 
         evt.callbacks.append(_advance)
         return evt
 
     def pread(self, handle: FileHandle, offset: int, length: int) -> Event:
-        """Positional read; value is ``bytes`` (short at EOF)."""
+        """Positional read, short at EOF.
+
+        The value is ``bytes`` on a filesystem that keeps data and the
+        byte count (an ``int``) on a size-only one, the same length
+        :meth:`pwrite` takes there.
+        """
         self._check_handle(handle, want_read=True)
         if offset < 0 or length < 0:
             raise ValueError("offset/length must be non-negative")
@@ -462,7 +471,7 @@ class MountedFs:
         length = min(length, max(0, inode.size - offset))
         if length == 0:
             yield self.sim.timeout(0.0)
-            return b""
+            return b"" if self.fs.store_data else 0
         yield from self._token_fenced(handle, offset, length, RO)
         geometry = self.fs.geometry
         pieces = geometry.split(offset, length)
@@ -498,9 +507,11 @@ class MountedFs:
         handle._last_block = last_block
         # assemble; a block may have been evicted between its fetch and this
         # point when the read is larger than the page pool — re-fetch it
-        # (bounded, so a broken pool cannot livelock the read)
-        out: List["bytes | memoryview | int"] = []
-        have_data = False
+        # (bounded, so a broken pool cannot livelock the read). A size-only
+        # read takes every block through pool.get too: it moves LRU order
+        # and the hit counters, though only the count is returned.
+        store_data = self.fs.store_data
+        out: List["bytes | memoryview"] = []
         for piece in pieces:
             entry = self.pool.get(inode.ino, piece.block_index)
             attempts = 0
@@ -513,19 +524,13 @@ class MountedFs:
                     f"page pool cannot hold block {piece.block_index} long "
                     "enough to assemble a read (pool too small?)"
                 )
-            if entry.data is None:
-                # Size-only cache entry: defer the zero-fill (int marker)
-                # so an all-zeros read collapses to one allocation below.
-                out.append(piece.length)
-            else:
+            if store_data:
                 # Zero-copy slice: cached blobs are immutable bytes (pool
                 # writes replace the object, never mutate it), so a view
                 # stays valid across the loop and join() copies each piece
                 # exactly once instead of twice.
-                have_data = True
-                blob = entry.data
                 end = piece.offset + piece.length
-                piece_data = memoryview(blob)[piece.offset : end]
+                piece_data = memoryview(entry.data)[piece.offset : end]
                 if len(piece_data) < piece.length:
                     piece_data = bytes(piece_data) + b"\x00" * (
                         piece.length - len(piece_data)
@@ -533,13 +538,9 @@ class MountedFs:
                 out.append(piece_data)
         inode.atime = self.sim.now
         self.bytes_read += length
-        if not have_data:
-            # Size-only filesystem: the pieces tile [offset, offset+length)
-            # exactly, so this equals the join of their zero blobs.
-            return bytes(length)
-        return b"".join(
-            bytes(part) if type(part) is int else part for part in out
-        )
+        if not store_data:
+            return length
+        return b"".join(out)
 
     def _fetch_blocks(self, inode: Inode, indices: List[int]) -> List[Event]:
         """Fetch blocks into the pool; returns one done event per index.
@@ -590,7 +591,7 @@ class MountedFs:
 
     def _read_run(self, inode: Inode, run: TransferRun):
         """Read one run from home (``yield from``; returns each block's
-        bytes); subclasses reroute (caching gateway)."""
+        data); subclasses reroute (caching gateway)."""
         return read_run(
             self.fs, self.node, inode.ino, run.blocks[0], run.nsd_id, run.phys,
             self.tags + ("read",),

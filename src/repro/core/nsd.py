@@ -3,7 +3,8 @@
 An :class:`Nsd` is one exported LUN: a pool of physical blocks with (when
 ``store_data``) real byte contents — reads return exactly what writes
 stored, which is what the integrity tests assert end-to-end across
-clusters.
+clusters. A size-only NSD (``store_data=False``) keeps no contents: a
+write may carry just its length, and a read returns just its length.
 
 An :class:`NsdServer` is the node that fronts a set of NSDs: it owns the
 FC path to the bricks (HBA → controller → RAID) and its GbE/10GbE NIC is
@@ -83,10 +84,6 @@ class Nsd:
         self.reads = 0
         self.writes = 0
         self.corruptions = 0
-        #: Shared zero block for size-only fetches (immutable, so one
-        #: instance can serve every full-block read without a 256 KiB
-        #: allocation per RPC).
-        self._zero: Optional[bytes] = None
 
     @property
     def capacity(self) -> int:
@@ -96,16 +93,22 @@ class Nsd:
         if not 0 <= phys < self.total_blocks:
             raise ValueError(f"physical block {phys} out of range on {self.name}")
 
-    def store(self, phys: int, offset: int, data: bytes) -> None:
-        """Merge ``data`` into block ``phys`` at ``offset`` (logical effect)."""
+    def store(self, phys: int, offset: int, data: "bytes | int") -> None:
+        """Merge ``data`` into block ``phys`` at ``offset`` (logical effect).
+
+        On a size-only NSD, which keeps no contents, ``data`` may be its
+        length: the write is bounds-checked, counted and heals rot just
+        as bytes of that length would.
+        """
         self._check_block(phys)
-        if offset < 0 or offset + len(data) > self.block_size:
+        length = data if isinstance(data, int) else len(data)
+        if offset < 0 or length < 0 or offset + length > self.block_size:
             raise ValueError("write exceeds block bounds")
         self.writes += 1
         # A full-block overwrite replaces every rotten byte; a partial
         # write cannot vouch for the bytes it did not touch, so poison
         # (injected rot) survives it and still triggers repair.
-        if offset == 0 and len(data) == self.block_size:
+        if offset == 0 and length == self.block_size:
             self._poisoned.discard(phys)
         if not self.store_data:
             return
@@ -127,11 +130,13 @@ class Nsd:
         self._check_block(phys)
         return self._sums.get(phys)
 
-    def verify_full(self, phys: int, data: Optional[bytes] = None) -> bool:
+    def verify_full(self, phys: int, data: "bytes | int | None" = None) -> bool:
         """Does a full-block read of ``phys`` match its stored checksum?
 
         ``data`` is the transferred full block (end-to-end verification at
-        the reader); omit it to verify the at-rest contents (scrub).
+        the reader); omit it to verify the at-rest contents (scrub). A
+        size-only NSD keeps no checksums: only injected rot fails it, and
+        ``data`` (a length there) is not read.
         """
         self._check_block(phys)
         if phys in self._poisoned:
@@ -167,19 +172,15 @@ class Nsd:
             self._data[phys] = blob[:offset] + bytes([flipped]) + blob[offset + 1:]
         return True
 
-    def fetch(self, phys: int, offset: int, length: int) -> bytes:
-        """Block contents (zero-filled where never written)."""
+    def fetch(self, phys: int, offset: int, length: int) -> "bytes | int":
+        """Block contents (zero-filled where never written), or on a
+        size-only NSD, which keeps no contents, their length."""
         self._check_block(phys)
         if offset < 0 or length < 0 or offset + length > self.block_size:
             raise ValueError("read exceeds block bounds")
         self.reads += 1
         if not self.store_data:
-            if length == self.block_size:
-                zero = self._zero
-                if zero is None:
-                    zero = self._zero = bytes(int(self.block_size))
-                return zero
-            return bytes(length)
+            return length
         blob = self._data.get(phys, b"")
         piece = blob[offset : offset + length]
         if len(piece) < length:
@@ -552,7 +553,8 @@ class NsdService:
         tags: tuple[str, ...] = (),
         verify: bool = False,
     ) -> RpcGen:
-        """Read a block slice; returns the data (bytes).
+        """Read a block slice; returns its data: ``bytes``, or the length
+        on a size-only NSD.
 
         ``verify=True`` (full-block reads only) checks the transferred
         data against the block's stored end-to-end checksum at the client
@@ -577,8 +579,8 @@ class NsdService:
 
         ``phys_list`` is a run of physical block numbers (contiguous for
         the aggregated-seek benefit, though any list works). With
-        ``verify=True`` every block is checked end to end. Returns
-        ``[bytes, ...]`` in ``phys_list`` order.
+        ``verify=True`` every block is checked end to end. Returns each
+        block's data, as :meth:`read_block` does, in ``phys_list`` order.
         """
         bs = int(self.nsds[nsd_id].block_size)
         extents = [(phys, 0, bs) for phys in phys_list]
@@ -647,13 +649,7 @@ class NsdService:
         yield from server.disk_io(self.sim, nsd, "write", total)
         # logical effect, per block
         for phys, offset, data in extents:
-            if isinstance(data, int):
-                nsd._check_block(phys)
-                if offset == 0 and data == nsd.block_size:
-                    nsd._poisoned.discard(phys)  # full overwrite heals injected rot
-                nsd.writes += 1  # size-only mode: count, no contents to keep
-            else:
-                nsd.store(phys, offset, data)
+            nsd.store(phys, offset, data)
         self.blocks_written += blocks
         guard = self._guard(server)
         if guard is not None:
@@ -672,8 +668,8 @@ class NsdService:
         return total
 
     def _read(self, client_node, nsd_id, extents, tags, verify, one):
-        """The read RPC; returns the bytes of each extent, or of the only
-        extent when ``one`` (``read_block``)."""
+        """The read RPC; returns each extent's data (``Nsd.fetch``), or the
+        only extent's when ``one`` (``read_block``)."""
         nsd = self.nsds[nsd_id]
         server = self.server_of(nsd_id)
         parked = self._partition_wait(client_node, server.node)
@@ -741,7 +737,7 @@ class NsdService:
         if verify:
             for (phys, _offset, _length), data in zip(extents, datas):
                 self.checksum_verifications += 1
-                if not nsd.verify_full(phys, data if nsd.store_data else None):
+                if not nsd.verify_full(phys, data):
                     self.checksum_failures += 1
                     if tr:
                         tr.instant(

@@ -163,7 +163,8 @@ class ReplicaManager:
         tags: Tuple[str, ...] = (),
     ):
         """Read one full block from the cheapest live replica (``yield
-        from`` it in a process); returns the block's bytes.
+        from`` it in a process); returns the block's data: ``bytes``, or
+        its length on a size-only filesystem.
 
         Replicas are tried in cost order (primary first, suspects last);
         a :class:`~repro.core.nsd.ChecksumError` or server loss fails
@@ -237,7 +238,7 @@ class ReplicaManager:
         self,
         writer_node: str,
         victim: Placement,
-        data: bytes,
+        data: "bytes | int",
         tags: Tuple[str, ...],
         kind: str,
     ) -> Event | None:
@@ -302,7 +303,7 @@ def read_run(fs, node: str, ino: int, block: int, nsd_id: int, phys, tags):
 
     ``phys`` lists the run's physical blocks on NSD ``nsd_id``; logical
     block ``block`` of inode ``ino`` is the first of them. Returns the
-    blocks' bytes in run order. A replicated filesystem reads its
+    blocks' data in run order. A replicated filesystem reads its
     one-block runs through the :class:`ReplicaManager`; any other runs
     one NSD RPC. Either runs inside the caller's process: ``yield from``
     adds no events.

@@ -417,10 +417,10 @@ class TokenClient:
         yield from self._user_handler(ino, start, end)
 
     def has(self, ino: int, start: int, end: int, mode: str) -> bool:
-        held = self.manager.client_ranges(ino, self.node, mode=mode if mode == RW else None)
-        if mode == RO:
-            # any token (ro or rw) covers reads
-            held = self.manager.client_ranges(ino, self.node)
+        # any token (ro or rw) covers reads
+        held = self.manager.client_ranges(
+            ino, self.node, mode=RW if mode == RW else None
+        )
         return covers(held, start, end)
 
     def ensure(

@@ -149,9 +149,7 @@ def _run_cell(result: ExperimentResult, table: Table, rtt_ms: float,
     tag = f"{int(rtt_ms)}ms-f{int(cache_frac * 100)}-w{write_pct}"
     g, home, edge, fs = _build_cell(tag, rtt_ms / 2000.0, bs, seed)
     cache_blocks = max(4, int(file_blocks * cache_frac)) + 8
-    cache = GatewayBlockCache(
-        cache_blocks * bs, bs, policy="2q", store_data=False
-    )
+    cache = GatewayBlockCache(cache_blocks * bs, bs, policy="2q")
     gw = CacheGateway(
         fs, list(GW_NODES), cache, name=f"gw-{tag}", mode="writeback",
         lease_duration=30.0,
@@ -238,9 +236,7 @@ def _run_chaos(result: ExperimentResult, *, rtt_ms: float, file_blocks: int,
     wb_blocks = 8
     tag = f"chaos-{int(rtt_ms)}ms"
     g, home, edge, fs = _build_cell(tag, rtt_ms / 2000.0, bs, seed)
-    cache = GatewayBlockCache(
-        (4 * file_blocks + 16) * bs, bs, policy="lru", store_data=False
-    )
+    cache = GatewayBlockCache((4 * file_blocks + 16) * bs, bs, policy="lru")
     gw = CacheGateway(
         fs, list(GW_NODES), cache, name=f"gw-{tag}", mode="writeback",
         lease_duration=60.0,

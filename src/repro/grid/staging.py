@@ -23,6 +23,7 @@ from typing import Generator
 from repro.grid.gridftp import GridFtp
 from repro.grid.scheduler import GurScheduler, ReservationError
 from repro.sim.kernel import Event, Simulation
+from repro.workloads.base import payload_for
 
 
 @dataclass
@@ -172,8 +173,7 @@ class DirectGfsJob:
             written = 0
             while written < spec.output_bytes:
                 chunk = int(min(self.io_chunk, spec.output_bytes - written))
-                payload = chunk if not self.mount.fs.store_data else b"\x00" * chunk
-                yield self.mount.write(out, payload)
+                yield self.mount.write(out, payload_for(self.mount, chunk))
                 written += chunk
             yield self.mount.close(out)
             report.bytes_moved = to_read + spec.output_bytes

@@ -30,7 +30,7 @@ from repro.sim.kernel import (
     AnyOf,
     SimulationError,
 )
-from repro.sim.resources import Resource, PriorityResource, Store, Container
+from repro.sim.resources import Resource, Container
 from repro.sim.rand import RngRegistry
 from repro.sim.trace import Tracer, TRACE, FlowRecord
 
@@ -44,8 +44,6 @@ __all__ = [
     "AnyOf",
     "SimulationError",
     "Resource",
-    "PriorityResource",
-    "Store",
     "Container",
     "RngRegistry",
     "Tracer",

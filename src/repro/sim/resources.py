@@ -1,10 +1,7 @@
-"""Queued resources: servers, stores, and level containers.
+"""Queued resources: servers and level containers.
 
 * :class:`Resource` — ``capacity`` concurrent holders, FIFO waiters. Models
-  disk queues, HBA ports, tape drives.
-* :class:`PriorityResource` — like Resource but waiters carry a priority
-  (lower first); used by the token manager so revocations pass new requests.
-* :class:`Store` — FIFO of items; models mailboxes / RPC queues.
+  disk queues, HBA ports, tape drives, per-inode token queues.
 * :class:`Container` — continuous level with put/get; models disk-space
   accounting and HSM watermarks.
 
@@ -14,8 +11,6 @@ process.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
 from typing import Any
 
@@ -83,99 +78,6 @@ class Resource:
             nxt = self.queue.popleft()
             self.users.append(nxt)
             nxt.succeed()
-
-
-class PriorityRequest(Request):
-    __slots__ = ("priority", "_order")
-
-    def __init__(self, resource: "PriorityResource", priority: int, order: int) -> None:
-        super().__init__(resource)
-        self.priority = priority
-        self._order = order
-
-    def __lt__(self, other: "PriorityRequest") -> bool:
-        return (self.priority, self._order) < (other.priority, other._order)
-
-
-class PriorityResource(Resource):
-    """Resource whose waiters are served lowest-priority-number first."""
-
-    def __init__(self, sim: Simulation, capacity: int = 1, name: str = "presource") -> None:
-        super().__init__(sim, capacity, name)
-        self._pqueue: list[PriorityRequest] = []
-        self._order = itertools.count()
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        req = PriorityRequest(self, priority, next(self._order))
-        if len(self.users) < self.capacity:
-            self.users.append(req)
-            req.succeed()
-        else:
-            heapq.heappush(self._pqueue, req)
-        return req
-
-    def release(self, request: Request) -> None:  # type: ignore[override]
-        if request in self.users:
-            self.users.remove(request)
-            self._grant_next()
-        else:
-            try:
-                self._pqueue.remove(request)  # type: ignore[arg-type]
-                heapq.heapify(self._pqueue)
-            except ValueError:
-                raise SimulationError(
-                    f"release of unknown request on resource {self.name!r}"
-                ) from None
-
-    def _grant_next(self) -> None:
-        while self._pqueue and len(self.users) < self.capacity:
-            nxt = heapq.heappop(self._pqueue)
-            self.users.append(nxt)
-            nxt.succeed()
-
-
-class Store:
-    """Unbounded-or-bounded FIFO of Python objects."""
-
-    def __init__(self, sim: Simulation, capacity: float = float("inf"), name: str = "store") -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self.items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
-
-    def put(self, item: Any) -> Event:
-        """Insert ``item``; event fires when the item is accepted."""
-        evt = Event(self.sim, name=f"put:{self.name}")
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            evt.succeed()
-        elif len(self.items) < self.capacity:
-            self.items.append(item)
-            evt.succeed()
-        else:
-            self._putters.append((evt, item))
-        return evt
-
-    def get(self) -> Event:
-        """Remove the oldest item; event fires with the item."""
-        evt = Event(self.sim, name=f"get:{self.name}")
-        if self.items:
-            evt.succeed(self.items.popleft())
-            if self._putters:
-                putter, item = self._putters.popleft()
-                self.items.append(item)
-                putter.succeed()
-        else:
-            self._getters.append(evt)
-        return evt
-
-    def __len__(self) -> int:
-        return len(self.items)
 
 
 class Container:

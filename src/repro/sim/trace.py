@@ -288,9 +288,8 @@ class Tracer:
 
         Spans are ``"X"`` complete events on per-lane threads; flows are
         async (``"b"``/``"e"``) events whose child slices are named by the
-        bound tag active over each attribution segment, so the viewer
-        shows *what limited the flow, when* — and the ``"e"`` event's args
-        carry the full rate history.
+        bound tag active over each attribution segment and carry its rate,
+        so the viewer shows *what limited the flow, when, and how fast*.
         """
         events: List[dict] = []
         scale = 1e6  # sim seconds -> trace microseconds
@@ -345,13 +344,7 @@ class Tracer:
             events.append({
                 "ph": "e", "name": f"{rec.src}->{rec.dst}",
                 "ts": t_end * scale,
-                "args": {
-                    "drained": rec.t_end is not None,
-                    "rate_history": [
-                        {"t": t, "rate_bytes_per_s": r, "bound": b}
-                        for t, r, b in rec.history
-                    ],
-                },
+                "args": {"drained": rec.t_end is not None},
                 **common,
             })
 

@@ -64,8 +64,7 @@ class NvoQueryStream:
         handle = yield self.mount.open(self.catalog_path, "r")
         for offset in self._offsets(handle.inode.size):
             data = yield self.mount.pread(handle, offset, self.bytes_per_query)
-            got = len(data) if isinstance(data, (bytes, bytearray)) else self.bytes_per_query
-            result.bytes_read += got
+            result.bytes_read += data if isinstance(data, int) else len(data)
             result.ops += 1
             if self.think_seconds:
                 yield sim.timeout(self.think_seconds)

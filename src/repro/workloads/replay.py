@@ -108,8 +108,7 @@ class TraceReplay:
                 yield m.fsync(self._handle(handles, op))
             elif op.op == "read":
                 data = yield m.pread(self._handle(handles, op), op.offset, op.length)
-                got = len(data) if isinstance(data, (bytes, bytearray)) else op.length
-                result.bytes_read += got
+                result.bytes_read += data if isinstance(data, int) else len(data)
             elif op.op == "write":
                 yield m.pwrite(
                     self._handle(handles, op), op.offset,

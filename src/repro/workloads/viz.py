@@ -62,8 +62,7 @@ class VizReader:
                     handle.seek(pos)
                 n = min(self.chunk, size - pos)
                 data = yield self.mount.pread(handle, pos, n)
-                got = len(data) if isinstance(data, (bytes, bytearray)) else n
-                result.bytes_read += got
+                result.bytes_read += data if isinstance(data, int) else len(data)
                 result.ops += 1
                 pos += n
             yield self.mount.close(handle)

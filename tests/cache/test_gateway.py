@@ -35,9 +35,7 @@ def gateway_gfs(
     for name in names:
         g.network.add_host(name, "ncsa-sw", Gbps(1), site="ncsa")
     ncsa.add_nodes(names)
-    cache = GatewayBlockCache(
-        cache_blocks * fs.block_size, fs.block_size, store_data=fs.store_data
-    )
+    cache = GatewayBlockCache(cache_blocks * fs.block_size, fs.block_size)
     gw = CacheGateway(
         fs, names, cache, mode=mode, lease_duration=lease_duration, **gw_kwargs
     )

@@ -203,6 +203,55 @@ class TestRoundtrip:
         assert run_io(g, io()) == b"new"
 
 
+class TestSizeOnlyReads:
+    """On a size-only filesystem a read returns its byte count, the same
+    length a size-only write takes."""
+
+    def bed(self):
+        g, cluster, fs, _ = small_gfs(store_data=False)
+        writer = mounted(g, cluster, node="c0")
+        reader = mounted(g, cluster, node="c1")
+        bs = fs.block_size
+        size = 3 * bs + 100
+
+        def write():
+            h = yield writer.open("/f", "w", create=True)
+            yield writer.write(h, size)
+            yield writer.close(h)
+
+        run_io(g, write())
+        return g, reader, bs, size
+
+    def test_pread_returns_the_count(self):
+        g, m, bs, size = self.bed()
+
+        def io():
+            h = yield m.open("/f", "r")
+            full = yield m.pread(h, 0, size)
+            cut = yield m.pread(h, 2 * bs, 2 * bs)
+            at_eof = yield m.pread(h, size, 10)
+            return full, cut, at_eof
+
+        assert run_io(g, io()) == (size, bs + 100, 0)
+
+    def test_read_advances_by_the_count(self):
+        g, m, bs, size = self.bed()
+
+        def io():
+            h = yield m.open("/f", "r")
+            got = []
+            for length in (bs + 10, 3 * bs, 10):
+                n = yield m.read(h, length)
+                got.append((n, h.pos))
+            return got
+
+        assert run_io(g, io()) == [
+            (bs + 10, bs + 10),
+            (size - bs - 10, size),
+            (0, size),
+        ]
+
+
 class TestDurabilityAndCache:
     def test_write_is_write_behind(self, bed):
         g, _, fs, m = bed

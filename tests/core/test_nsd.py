@@ -68,10 +68,25 @@ class TestNsdStore:
             nsd.fetch(0, 1000, 100)
 
     def test_size_only_mode(self):
+        # No contents are kept, so a read is its length, like a write.
         nsd = self.make(store_data=False)
         nsd.store(0, 0, b"data")
-        assert nsd.fetch(0, 0, 4) == bytes(4)  # zeros, but counted
-        assert nsd.writes == 1 and nsd.reads == 1
+        nsd.store(1, 0, 1024)
+        assert nsd.fetch(0, 0, 4) == 4
+        assert nsd.fetch(1, 0, 1024) == 1024
+        assert nsd.writes == 2 and nsd.reads == 2
+
+    def test_store_takes_a_length(self):
+        nsd = self.make(store_data=False)
+        nsd.corrupt(0)
+        nsd.store(0, 0, 1023)  # partial: cannot vouch for the last byte
+        assert not nsd.verify_full(0)
+        nsd.store(0, 0, 1024)  # a full-length write heals injected rot
+        assert nsd.verify_full(0)
+        for offset, length in ((1000, 25), (0, -1)):
+            with pytest.raises(ValueError, match="block bounds"):
+                nsd.store(0, offset, length)
+        assert nsd.writes == 2
 
     def test_trim(self):
         nsd = self.make()
@@ -275,7 +290,7 @@ class TestKernelEntriesPerBlock:
         s0 = g.sim._seq
         run_io(g, write())
         s1 = g.sim._seq
-        assert len(run_io(g, read())) == nbytes
+        assert run_io(g, read()) == nbytes
         s2 = g.sim._seq
         svc = fs.service
         assert (svc.blocks_written, svc.blocks_read) == (

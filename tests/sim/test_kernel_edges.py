@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim import Interrupt, Simulation, SimulationError, Store
+from repro.sim import Interrupt, Simulation, SimulationError
 
 
 class TestLateFailures:
@@ -44,13 +44,13 @@ class TestLateFailures:
 
 
 class TestInterruptEdges:
-    def test_interrupt_while_waiting_on_store(self):
+    def test_interrupt_while_waiting_on_event(self):
         sim = Simulation()
-        store = Store(sim)
+        never = sim.event()
 
         def consumer(sim):
             try:
-                yield store.get()
+                yield never
             except Interrupt:
                 return "freed"
 

@@ -1,8 +1,8 @@
-"""Tests for sim resources (Resource, PriorityResource, Store, Container)."""
+"""Tests for sim resources (Resource, Container)."""
 
 import pytest
 
-from repro.sim import Container, PriorityResource, Resource, Simulation, Store
+from repro.sim import Container, Resource, Simulation
 from repro.sim.kernel import SimulationError
 
 
@@ -81,122 +81,6 @@ class TestResource:
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
             Resource(Simulation(), capacity=0)
-
-
-class TestPriorityResource:
-    def test_lower_priority_number_first(self):
-        sim = Simulation()
-        res = PriorityResource(sim, capacity=1)
-        order = []
-
-        def user(sim, tag, prio, t_start):
-            yield sim.timeout(t_start)
-            req = res.request(priority=prio)
-            yield req
-            order.append(tag)
-            yield sim.timeout(1.0)
-            res.release(req)
-
-        sim.process(user(sim, "holder", 0, 0.0))
-        sim.process(user(sim, "low", 5, 0.1))
-        sim.process(user(sim, "high", 1, 0.2))
-        sim.run()
-        assert order == ["holder", "high", "low"]
-
-    def test_fifo_within_priority(self):
-        sim = Simulation()
-        res = PriorityResource(sim, capacity=1)
-        order = []
-
-        def user(sim, tag, t_start):
-            yield sim.timeout(t_start)
-            req = res.request(priority=1)
-            yield req
-            order.append(tag)
-            yield sim.timeout(1.0)
-            res.release(req)
-
-        sim.process(user(sim, "first", 0.0))
-        sim.process(user(sim, "second", 0.1))
-        sim.process(user(sim, "third", 0.2))
-        sim.run()
-        assert order == ["first", "second", "third"]
-
-    def test_cancel_queued(self):
-        sim = Simulation()
-        res = PriorityResource(sim, capacity=1)
-        held = res.request()
-        queued = res.request(priority=2)
-        res.release(queued)
-        res.release(held)
-        assert res.count == 0
-
-
-class TestStore:
-    def test_put_get_fifo(self):
-        sim = Simulation()
-        store = Store(sim)
-
-        def producer(sim):
-            for item in ["a", "b"]:
-                yield store.put(item)
-
-        def consumer(sim):
-            x = yield store.get()
-            y = yield store.get()
-            return [x, y]
-
-        sim.process(producer(sim))
-        p = sim.process(consumer(sim))
-        sim.run()
-        assert p.value == ["a", "b"]
-
-    def test_get_blocks_until_put(self):
-        sim = Simulation()
-        store = Store(sim)
-
-        def consumer(sim):
-            item = yield store.get()
-            return (item, sim.now)
-
-        def producer(sim):
-            yield sim.timeout(5)
-            yield store.put("late")
-
-        p = sim.process(consumer(sim))
-        sim.process(producer(sim))
-        sim.run()
-        assert p.value == ("late", 5.0)
-
-    def test_bounded_put_blocks(self):
-        sim = Simulation()
-        store = Store(sim, capacity=1)
-        times = []
-
-        def producer(sim):
-            yield store.put(1)
-            times.append(sim.now)
-            yield store.put(2)
-            times.append(sim.now)
-
-        def consumer(sim):
-            yield sim.timeout(3)
-            yield store.get()
-
-        sim.process(producer(sim))
-        sim.process(consumer(sim))
-        sim.run()
-        assert times == [0.0, 3.0]
-
-    def test_len(self):
-        sim = Simulation()
-        store = Store(sim)
-        store.put("x")
-        assert len(store) == 1
-
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            Store(Simulation(), capacity=0)
 
 
 class TestContainer:

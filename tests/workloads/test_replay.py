@@ -57,6 +57,18 @@ class TestReplay:
         assert result.bytes_read == 1024
         assert fs.namespace.resolve("/a.dat").size == 4096
 
+    def test_size_only_read_across_eof_counts_what_it_returned(self):
+        g, cluster, fs, _ = small_gfs(store_data=False)
+        m = mounted(g, cluster, node="c0")
+        trace = """
+        0.0 open  /a.dat -    -
+        0.0 write /a.dat 0    4096
+        0.0 read  /a.dat 3072 4096
+        0.0 close /a.dat -    -
+        """
+        result = g.run(until=TraceReplay(m, trace).run())
+        assert result.bytes_read == 1024
+
     def test_timestamps_respected(self):
         g, fs, m = bed()
         replay = TraceReplay(m, SAMPLE)
